@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import KittelMaterial, ModeSpec, lambda_to_beta
 from .errors import ConfigError, InvalidSystem, NegativeCoupling
+from .fitting import split_parameter_name
 from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel
 from .synth import NoiseSpec
 
@@ -166,7 +167,7 @@ def _parse_fit(entry: dict, labels: set[str]) -> FitConfig:
         name = item["name"]
         if not isinstance(name, str):
             raise ConfigError(f"fit.free[{k}]: 'name' must be a string")
-        for label in name.split(":")[1:]:
+        for label in split_parameter_name(name)[1]:
             if label not in labels:
                 raise ConfigError(f"fit.free[{k}]: {name!r} names unknown mode {label!r}")
         _number(item, f"fit.free[{k}]", "lower")

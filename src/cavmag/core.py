@@ -33,6 +33,9 @@ from .errors import (
 # Estimated condition number beyond which a transmission solve is
 # reported as singular instead of returned as roundoff noise.
 SINGULAR_COND_LIMIT = 1e14
+# A point is cleared without an SVD when the condition-number bound
+# from its LU factors stays this factor below SINGULAR_COND_LIMIT.
+_SCREEN_MARGIN = 10.0
 
 
 # ── Mode and system types ──────────────────────────────────────────────
@@ -259,37 +262,111 @@ def build_coupling_hamiltonian(system: HybridSystem) -> np.ndarray:
     return _assemble_hamiltonian(system)
 
 
-def _response_matrix(ham: np.ndarray, omega: float) -> np.ndarray:
-    n = ham.shape[0]
-    return 1j * (omega * np.eye(n) - ham)
+def _sum_abs_sq(entries, grid: tuple[int, int]) -> np.ndarray:
+    """Sum of |z|^2 over contiguous complex arrays of shape grid."""
+    total = np.zeros((grid[0], 2 * grid[1]))
+    for z in entries:
+        parts = z.view(np.float64)  # real and imaginary parts interleaved
+        total += parts * parts
+    return total[:, 0::2] + total[:, 1::2]
 
 
-def _s21_from_matrix(ham: np.ndarray, weights: np.ndarray, omega: float) -> complex:
-    m = _response_matrix(ham, omega)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > SINGULAR_COND_LIMIT:
-        raise SingularResponse(
-            f"response matrix numerically singular at omega={omega!r} "
-            f"(estimated condition number {cond:.3e})"
-        )
-    x = np.linalg.solve(m, weights)
-    # summed exactly like the vectorized sweep kernel, so batched maps
-    # reproduce scalar calls bit for bit
-    return complex(np.sum(x * weights))
+def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
+    """Transmission and guard condition number on a (field, frequency) grid.
+
+    hams is an (F, n, n) stack of coupling matrices, weights the
+    stripline vector w and freqs the W probe frequencies.  Each response
+    matrix M = i (omega I - H) is factored P M = L U by Gaussian
+    elimination with partial pivoting (largest |re| + |im|, first on
+    ties, as in LAPACK), run entry by entry on (F, W) arrays, so every
+    grid point goes through the same arithmetic whatever the grid shape.
+    Returns (values, cond), both (F, W), with values = w . x for M x = w.
+
+    cond is the 2-norm condition number of M wherever it could matter:
+    the factors bound it, kappa <= ||M||_F ||U^-1||_F ||L^-1||_F, and
+    where that bound does not clear SINGULAR_COND_LIMIT by
+    _SCREEN_MARGIN the exact SVD value (np.linalg.cond) replaces it; a
+    matrix with a non-finite entry gets inf.
+    """
+    n = hams.shape[-1]
+    eye = np.eye(n)
+    grid = (hams.shape[0], freqs.size)
+    # a[i, j] is entry (i, j) of M over the grid; column n carries w
+    a = np.empty((n, n + 1) + grid, dtype=complex)
+    a[:, :n] = 1j * (eye[:, :, None, None] * freqs - hams.transpose(1, 2, 0)[..., None])
+    a[:, n] = weights[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound_sq = _sum_abs_sq((a[i, j] for i in range(n) for j in range(n)), grid)
+        for k in range(n - 1):
+            parts = np.abs(a[k:, k].view(np.float64))
+            pivot = np.argmax(parts[..., 0::2] + parts[..., 1::2], axis=0)
+            for r in range(k + 1, n):
+                swap = pivot == r - k
+                row = a[k].copy()
+                np.copyto(a[k], a[r], where=swap)
+                np.copyto(a[r], row, where=swap)
+            a[k + 1 :, k] /= a[k, k]  # the multipliers, stored where L goes
+            a[k + 1 :, k + 1 :] -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+        x = [None] * n
+        for i in reversed(range(n)):
+            acc = a[i, n]
+            for j in range(i + 1, n):
+                acc = acc - a[i, j] * x[j]
+            x[i] = acc / a[i, i]
+        values = weights[0] * x[0]
+        for i in range(1, n):
+            values = values + weights[i] * x[i]
+        # U^-1 and the strictly lower part of L^-1 (its diagonal is 1),
+        # column by column
+        u_inv, l_inv = {}, {}
+        for j in range(n):
+            u_inv[j, j] = 1.0 / a[j, j]
+            for i in reversed(range(j)):
+                acc = a[i, i + 1] * u_inv[i + 1, j]
+                for m in range(i + 2, j + 1):
+                    acc = acc + a[i, m] * u_inv[m, j]
+                u_inv[i, j] = -acc / a[i, i]
+            for i in range(j + 1, n):
+                acc = a[i, j]
+                for m in range(j + 1, i):
+                    acc = acc + a[i, m] * l_inv[m, j]
+                l_inv[i, j] = -acc
+        bound_sq *= _sum_abs_sq(u_inv.values(), grid)
+        bound_sq *= n + _sum_abs_sq(l_inv.values(), grid)
+        cond = np.sqrt(bound_sq)
+    suspect = ~(cond < SINGULAR_COND_LIMIT / _SCREEN_MARGIN)
+    if np.any(suspect):
+        fi, wi = np.nonzero(suspect)
+        m = 1j * (freqs[wi, None, None] * eye - hams[fi])
+        finite = np.all(np.isfinite(m), axis=(1, 2))
+        exact = np.full(fi.size, np.inf)
+        exact[finite] = np.linalg.cond(m[finite])
+        cond[suspect] = exact
+    return values, cond
 
 
 def s21(system: HybridSystem, omega: float) -> complex:
     """Complex transmission coefficient at probe frequency omega.
 
-    Solves i (omega I - H) x = w with partial pivoting and returns
-    w . x, where w is the stripline weight vector.  No explicit matrix
-    inverse is ever formed.
+    Solves i (omega I - H) x = w by partial-pivot elimination and
+    returns w . x, where w is the stripline weight vector: the
+    single-point call of the kernel that computes whole maps, so a map
+    entry equals the matching s21 bit for bit.  SingularResponse is
+    decided by the SVD condition number, computed only where the bound
+    from the LU factors cannot clear the limit.
     """
     if not isinstance(omega, (int, float)) or not math.isfinite(omega):
         raise InvalidSystem(f"probe frequency must be a finite real, got {omega!r}")
     _check_system(system)
+    omega = float(omega)
     ham = _assemble_hamiltonian(system)
-    return _s21_from_matrix(ham, stripline_vector(system), float(omega))
+    values, cond = _transmission(ham[None], stripline_vector(system), np.array([omega]))
+    if cond[0, 0] > SINGULAR_COND_LIMIT:
+        raise SingularResponse(
+            f"response matrix numerically singular at omega={omega!r} "
+            f"(estimated condition number {cond[0, 0]:.3e})"
+        )
+    return complex(values[0, 0])
 
 
 def sort_eigenvalues(values: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ model units only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataFormatError
@@ -22,15 +24,19 @@ def format_float(value: float) -> str:
 
 
 def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
-    """Spectrum map as CSV, rows ordered by (h_oe, omega) ascending."""
-    lines = [SPECTRUM_HEADER]
-    for i, h in enumerate(spectrum.fields):
-        for j, w in enumerate(spectrum.freqs):
-            v = spectrum.values[i, j]
-            lines.append(",".join((format_float(h), format_float(w),
-                                   format_float(v.real), format_float(v.imag))))
+    """Spectrum map as CSV, rows ordered by (h_oe, omega) ascending.
+
+    Each field and frequency is formatted once; every field then fills
+    one row template with its real and imaginary parts.
+    """
+    row_tails = [f",{format_float(w)},%.17g,%.17g" for w in spectrum.freqs]
+    parts = np.stack((spectrum.values.real, spectrum.values.imag), axis=-1)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(SPECTRUM_HEADER + "\n")
+        for h, row in zip(spectrum.fields, parts.reshape(spectrum.fields.size, -1)):
+            head = format_float(h)
+            template = head + ("\n" + head).join(row_tails) + "\n"
+            handle.write(template % tuple(row.tolist()))
 
 
 def read_spectrum_csv(path) -> SpectrumMap:
@@ -38,8 +44,8 @@ def read_spectrum_csv(path) -> SpectrumMap:
 
     The file must carry the exact header, one row per grid point,
     ordered ascending by (h_oe, omega), with every field sharing the
-    same frequency list.  Violations raise DataFormatError carrying the
-    offending line number.
+    same frequency list, and every value finite.  Violations raise
+    DataFormatError carrying the offending line number.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -57,9 +63,11 @@ def read_spectrum_csv(path) -> SpectrumMap:
         if len(parts) != 4:
             raise DataFormatError(f"expected 4 columns, got {len(parts)}", line=lineno)
         try:
-            h, w, re, im = (float(p) for p in parts)
+            h, w, re, im = map(float, parts)
         except ValueError:
             raise DataFormatError(f"unparseable number in {line!r}", line=lineno) from None
+        if not (math.isfinite(h) and math.isfinite(w) and math.isfinite(re) and math.isfinite(im)):
+            raise DataFormatError(f"non-finite value in {line!r}", line=lineno)
         key = (h, w)
         if previous is not None and key <= previous:
             raise DataFormatError(

@@ -6,9 +6,9 @@ squared complex misfit of the full transmission map (fit_map).  The
 optimizer is a bounded derivative-free simplex search with a pinned
 convergence contract: converged means the objective's relative decrease
 across an iteration fell below 1e-10 or the step norm (in box-scaled
-coordinates) fell below 1e-12.  Non-convergence is never an exception;
-the best point found is returned with converged False after five
-jittered restarts.
+coordinates) fell below 1e-12, and never holds for a non-finite
+objective.  Non-convergence is never an exception; the best point found
+is returned with converged False after five jittered restarts.
 """
 
 from __future__ import annotations
@@ -93,6 +93,21 @@ def extract_ridges(spectrum: SpectrumMap, n_ridges: int, min_separation: float) 
 _PARAM_KINDS = ("g", "alpha", "beta", "omega", "gamma", "four_pi_m")
 
 
+def split_parameter_name(name: str) -> tuple[str, list[str]]:
+    """Kind and mode labels of a 'kind:label' or 'g:labelA:labelB' name.
+
+    Raises InvalidSystem for an unknown kind or a wrong label count.
+    """
+    kind, *labels = name.split(":")
+    if kind not in _PARAM_KINDS:
+        raise InvalidSystem(f"unknown parameter kind in {name!r}")
+    if kind == "g" and len(labels) != 2:
+        raise InvalidSystem(f"coupling parameter needs two labels: {name!r}")
+    if kind != "g" and len(labels) != 1:
+        raise InvalidSystem(f"parameter needs exactly one label: {name!r}")
+    return kind, labels
+
+
 @dataclass(frozen=True)
 class FreeParameter:
     """One free scalar with finite bounds and an in-bounds initial guess.
@@ -108,9 +123,7 @@ class FreeParameter:
     initial: float
 
     def __post_init__(self):
-        kind = self.name.split(":", 1)[0]
-        if kind not in _PARAM_KINDS:
-            raise InvalidSystem(f"unknown parameter kind in {self.name!r}")
+        kind, _ = split_parameter_name(self.name)
         for field_name in ("lower", "upper", "initial"):
             value = getattr(self, field_name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -164,20 +177,15 @@ def apply_parameters(template: SystemTemplate, values: dict[str, float]) -> Syst
     """Template with the named free parameters replaced by new values."""
     out = template
     for name, value in values.items():
-        parts = name.split(":")
-        kind = parts[0]
+        kind, labels = split_parameter_name(name)
         if kind == "g":
-            if len(parts) != 3:
-                raise InvalidSystem(f"coupling parameter needs two labels: {name!r}")
             known = set(out.mode_order())
-            for label in parts[1:]:
+            for label in labels:
                 if label not in known:
                     raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
-            out = out.with_coupling(parts[1], parts[2], float(value))
+            out = out.with_coupling(labels[0], labels[1], float(value))
             continue
-        if len(parts) != 2:
-            raise InvalidSystem(f"parameter needs exactly one label: {name!r}")
-        label = parts[1]
+        (label,) = labels
         if kind == "omega":
             if label != out.resonator.label:
                 raise InvalidSystem(f"omega is only free on the resonator, got {name!r}")
@@ -193,15 +201,13 @@ def apply_parameters(template: SystemTemplate, values: dict[str, float]) -> Syst
                 if magnons == out.magnons:
                     raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
                 out = replace(out, magnons=magnons)
-        elif kind in ("gamma", "four_pi_m"):
+        else:  # gamma or four_pi_m
             magnon = out.magnon(label)
             material = replace(magnon.material, **{kind: float(value)})
             magnons = tuple(
                 replace(m, material=material) if m.label == label else m for m in out.magnons
             )
             out = replace(out, magnons=magnons)
-        else:
-            raise InvalidSystem(f"unknown parameter kind in {name!r}")
     return out
 
 
@@ -242,6 +248,8 @@ def _simplex_search(fun, x0, lower, upper, maxiter) -> _SearchOutcome:
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
         best, worst = values[0], values[-1]
+        if not math.isfinite(best):
+            break  # no finite vertex to compare against: never converged
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0]))) if n else 0.0
         if (worst - best) <= FTOL_REL * max(abs(best), _TINY) or diameter <= XTOL:
             converged = True
@@ -318,7 +326,8 @@ def _optimize(objective, problem: FitProblem, n_data: int) -> FitResult:
     names = [p.name for p in problem.free]
     if not names:
         residual = float(objective(np.empty(0)))
-        return FitResult(params={}, residual=residual, iterations=0, converged=True,
+        return FitResult(params={}, residual=residual, iterations=0,
+                         converged=math.isfinite(residual),
                          stderr={}, history=(residual,))
     x0 = np.array([p.initial for p in problem.free], dtype=float)
     lower = np.array([p.lower for p in problem.free], dtype=float)

@@ -20,6 +20,7 @@ from .core import (
     KittelMaterial,
     ModeSpec,
     _assemble_hamiltonian,
+    _transmission,
     field_for_frequency,
     kittel_frequency,
     kittel_slope,
@@ -259,71 +260,37 @@ def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
     return hams
 
 
-# Fields per block of the guarded solve, so temporaries stay independent
-# of the grid size.
+# Fields per block of the transmission kernel, so temporaries stay
+# independent of the grid size.
 _FIELD_BLOCK = 32
-# A point is cleared without an SVD when its Frobenius-norm condition
-# number stays this factor below SINGULAR_COND_LIMIT.
-_SCREEN_MARGIN = 10.0
-
-
-def _frobenius_sq(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix in a complex stack."""
-    return (np.einsum("...ij,...ij->...", a.real, a.real)
-            + np.einsum("...ij,...ij->...", a.imag, a.imag))
-
-
-def _guard_suspects(m: np.ndarray) -> np.ndarray:
-    """Points of a response-matrix stack that the cheap bound cannot clear.
-
-    The 2-norm condition number never exceeds ||M||_F ||M^-1||_F, so a
-    point whose Frobenius bound sits well below the limit cannot fail
-    the guard.  A stack that inv cannot factor is suspect throughout.
-    """
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return np.ones(m.shape[:-2], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound_sq = _frobenius_sq(m) * _frobenius_sq(inv)
-        return ~(bound_sq < (SINGULAR_COND_LIMIT / _SCREEN_MARGIN) ** 2)
 
 
 def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     """Transmission map over a field x frequency grid.
 
     Each grid point equals s21(instantiate(template, h), omega) exactly:
-    the batched linear solves run the same factorization per point as
-    the scalar path.  SingularResponse is decided, as in s21, by the
-    2-norm condition number of the response matrix (an SVD).  A cheaper
-    Frobenius-norm bound from a batched inverse only pre-screens: the
-    SVD runs wherever that bound comes within 10x of the limit, and the
-    inverse never enters the result.
+    both run the same elementwise partial-pivot elimination.
+    SingularResponse is decided, as in s21, by the 2-norm condition
+    number of the response matrix (an SVD), reported at the first
+    offending point in row-major order.  A bound from the LU factors
+    only pre-screens: the SVD runs wherever that bound comes within 10x
+    of the limit.
     """
     fields = _check_grid("fields", fields)
     freqs = _check_grid("freqs", freqs)
     hams = hamiltonians(template, fields)
-    n = hams.shape[-1]
     weights = stripline_vector(instantiate(template, 0.0))
-    eye = np.eye(n)
     values = np.empty((fields.size, freqs.size), dtype=complex)
     for start in range(0, fields.size, _FIELD_BLOCK):
         block = slice(start, start + _FIELD_BLOCK)
-        m = 1j * (freqs[None, :, None, None] * eye - hams[block, None, :, :])
-        suspect = _guard_suspects(m)
-        if np.any(suspect):
-            cond = np.zeros(suspect.shape)
-            cond[suspect] = np.linalg.cond(m[suspect])
-            bad = ~np.isfinite(cond) | (cond > SINGULAR_COND_LIMIT)
-            if np.any(bad):
-                i, j = np.argwhere(bad)[0]
-                raise SingularResponse(
-                    f"response matrix numerically singular at h={fields[start + i]!r}, "
-                    f"omega={freqs[j]!r} (estimated condition number {cond[i, j]:.3e})"
-                )
-        rhs = np.broadcast_to(weights, m.shape[:-2] + (n,))[..., None]
-        x = np.linalg.solve(m, rhs)[..., 0]
-        values[block] = np.sum(x * weights, axis=-1)
+        values[block], cond = _transmission(hams[block], weights, freqs)
+        bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
+        if bad.size:
+            i, j = bad[0]
+            raise SingularResponse(
+                f"response matrix numerically singular at h={fields[start + i]!r}, "
+                f"omega={freqs[j]!r} (estimated condition number {cond[i, j]:.3e})"
+            )
     return SpectrumMap(fields, freqs, values)
 
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HybridSystem, _assemble_hamiltonian, _check_system, _s21_from_matrix, stripline_vector
+from .core import (
+    SINGULAR_COND_LIMIT,
+    HybridSystem,
+    _assemble_hamiltonian,
+    _check_system,
+    _transmission,
+    stripline_vector,
+)
 from .errors import InvalidSystem, SingularResponse
 from .sweep import SpectrumMap, SystemTemplate, compute_map
 
@@ -198,17 +205,11 @@ def passivity_check(system: HybridSystem, omegas) -> PassivityReport:
         max_im = float(np.max(eigenvalues.imag)) if np.all(np.isfinite(eigenvalues)) else math.inf
     except np.linalg.LinAlgError:
         max_im = math.inf
-    worst = 0.0
-    for omega in np.asarray(omegas, dtype=float).ravel():
-        try:
-            value = _s21_from_matrix(ham, weights, float(omega))
-        except SingularResponse:
-            worst = math.inf
-            continue
-        mag = abs(1.0 + value)
-        if not math.isfinite(mag):
-            worst = math.inf
-        else:
-            worst = max(worst, mag)
+    values, cond = _transmission(ham[None], weights, np.asarray(omegas, dtype=float).ravel())
+    magnitudes = np.abs(1.0 + values)
+    if np.any(cond > SINGULAR_COND_LIMIT) or not np.all(np.isfinite(magnitudes)):
+        worst = math.inf
+    else:
+        worst = float(np.max(magnitudes, initial=0.0))
     flagged = not (max_im <= PASSIVITY_TOL and worst <= 1.0 + PASSIVITY_TOL)
     return PassivityReport(max_im_eigenvalue=max_im, max_abs_one_plus_s21=worst, flagged=flagged)

@@ -170,6 +170,34 @@ def test_fit_missing_row_exits_5(tmp_path, capsys):
     assert "incomplete grid" in capsys.readouterr().err
 
 
+def test_fit_non_finite_data_exits_5(tmp_path, capsys):
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(small_doc(fit={"method": "map", "free": []})),
+                      encoding="utf-8")
+    data = tmp_path / "data.csv"
+    assert main(["map", "--config", str(config), "--out", str(data)]) == 0
+    lines = data.read_text(encoding="utf-8").splitlines()
+    parts = lines[7].split(",")
+    parts[2] = "inf"
+    lines[7] = ",".join(parts)
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    assert rc == 5
+    assert "line 8: non-finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["g:cpw", "g:cpw:yig:cpw", "alpha:cpw:yig", "beta"])
+def test_fit_parameter_label_count_exits_2(tmp_path, capsys, name):
+    fit_block = {"method": "map", "free": [{"name": name, "lower": 0.05, "upper": 0.6}]}
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(small_doc(fit=fit_block)), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("unused\n", encoding="utf-8")
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_fit_without_fit_block_exits_2(tmp_path, small_config, capsys):
     data = tmp_path / "data.csv"
     assert main(["map", "--config", str(small_config), "--out", str(data)]) == 0

@@ -83,6 +83,19 @@ def test_spectrum_read_rejects_bad_rows(tmp_path):
         read_spectrum_csv(path)
 
 
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("text", ["-inf", "nan"])
+def test_spectrum_read_rejects_non_finite_values(tmp_path, column, text):
+    rows = [["1", "1", "0", "0"], ["1", "2", "0", "0"], ["2", "1", "0", "0"], ["2", "2", "0", "0"]]
+    rows[2][column] = text
+    path = tmp_path / "map.csv"
+    path.write_text(SPECTRUM_HEADER + "\n" + "\n".join(map(",".join, rows)) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 4: non-finite value") as err:
+        read_spectrum_csv(path)
+    assert err.value.line == 4
+
+
 def test_spectrum_read_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "map.csv"
     rows = ["2,1,0,0", "1,1,0,0", "1,2,0,0", "2,2,0,0"]

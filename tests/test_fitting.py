@@ -177,6 +177,19 @@ def test_fit_map_recovers_coupling_from_clean_data():
     assert all(b <= a for a, b in zip(result.history, result.history[1:]))
 
 
+@pytest.mark.parametrize("free", [(), ("g:cpw:yig",)])
+def test_fit_never_converges_on_a_non_finite_objective(free):
+    template = one_magnon_template()
+    fields = np.linspace(900.0, 1100.0, 5)
+    freqs = np.linspace(28.6, 29.8, 7)
+    values = compute_map(template, fields, freqs).values.copy()
+    values[2, 3] = complex(math.inf, 0.0)
+    problem = FitProblem(template, tuple(FreeParameter(name, 0.05, 0.6, 0.2) for name in free))
+    result = fit_map(SpectrumMap(fields, freqs, values), problem)
+    assert not result.converged
+    assert result.residual == math.inf
+
+
 def test_fit_map_needs_enough_points():
     template = one_magnon_template()
     tiny = SpectrumMap(np.array([1000.0]), np.array([29.2]),

@@ -172,3 +172,22 @@ def test_active_system_is_flagged_not_raised():
     report = passivity_check(system, [29.2])
     assert report.flagged
     assert report.max_im_eigenvalue > PASSIVITY_TOL
+
+
+@pytest.mark.parametrize("name, value", [("beta", -0.01), ("beta", math.nan),
+                                         ("omega", math.nan), ("alpha", math.inf)])
+def test_broken_system_is_flagged_not_raised(name, value):
+    # non-finite entries in the coupling matrix: no eigenvalues and no
+    # transmission to report, so both indicators read inf
+    mode = ModeSpec("one", 29.2, 0.01, 0.02)
+    object.__setattr__(mode, name, value)
+    system = HybridSystem((mode, ModeSpec("two", 29.3, 0.01, 0.02)), {(0, 1): 0.1})
+    report = passivity_check(system, np.linspace(28.0, 30.0, 5))
+    assert report.flagged
+    assert report.max_abs_one_plus_s21 == math.inf
+
+
+def test_singular_probe_reads_inf():
+    system = HybridSystem((ModeSpec("one", 29.2, 0.0, 0.0), ModeSpec("two", 30.0, 0.01, 0.02)))
+    assert passivity_check(system, [29.0, 29.2]).max_abs_one_plus_s21 == math.inf
+    assert passivity_check(system, [29.0, 29.3]).max_abs_one_plus_s21 < math.inf
