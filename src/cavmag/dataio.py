@@ -39,14 +39,78 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
             handle.write(template % tuple(row.tolist()))
 
 
+# The array reader takes only the exact header line followed by lines
+# over these bytes.  On them np.loadtxt and float() return the same
+# bits, and '\n' is the only line break either parser sees.
+_HEADER_LINE = (SPECTRUM_HEADER + "\n").encode("ascii")
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+
+
 def read_spectrum_csv(path) -> SpectrumMap:
     """Parse a spectrum CSV back into a map.
 
     The file must carry the exact header, one row per grid point,
     ordered ascending by (h_oe, omega), with every field sharing the
-    same frequency list, and every value finite.  Violations raise
-    DataFormatError carrying the offending line number.
+    same frequency list, and every value finite.  Violations, non-finite
+    values included, raise DataFormatError carrying the offending line
+    number (CLI exit 5).
+
+    Plain files (see _PLAIN_BYTES) are parsed by np.loadtxt and checked
+    with array operations.  Every other file, and every file those
+    checks refuse, goes to the line parser, _read_spectrum_lines.  The
+    reader therefore takes exactly the files the line parser takes, with
+    the same value bits, and every error message and line number comes
+    from the line parser.
     """
+    rows = _load_plain_rows(path)
+    spectrum = None if rows is None else _grid_from_rows(rows)
+    return _read_spectrum_lines(path) if spectrum is None else spectrum
+
+
+def _load_plain_rows(path) -> np.ndarray | None:
+    """Rows of a plain file as an (n, 4) array, or None."""
+    with open(path, "rb") as handle:
+        header = handle.readline()
+        body = handle.read()
+    breaks = body.count(b"\n")
+    # A body of line breaks alone would make np.loadtxt warn "no data".
+    if header != _HEADER_LINE or breaks == len(body) or body.translate(None, _PLAIN_BYTES):
+        return None
+    n_lines = breaks + (not body.endswith(b"\n"))
+    del body  # free the bytes before np.loadtxt allocates its rows
+    # A handle, not the path: np.loadtxt would open a path by its suffix
+    # (.gz, .bz2, .xz) as a compressed file.
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            rows = np.loadtxt(handle, delimiter=",", skiprows=1, comments=None, ndmin=2)
+        except ValueError:  # unparseable number or ragged columns
+            return None
+    # np.loadtxt skips blank lines, which the line parser rejects.
+    return rows if rows.shape == (n_lines, 4) else None
+
+
+def _grid_from_rows(rows: np.ndarray) -> SpectrumMap | None:
+    """The map of finite rows ascending over a complete grid, or None."""
+    if not np.isfinite(rows).all():
+        return None
+    h, w = rows[:, 0], rows[:, 1]
+    same_h = h[1:] == h[:-1]
+    if not np.all((h[1:] > h[:-1]) | (same_h & (w[1:] > w[:-1]))):
+        return None
+    n_freqs = int(np.count_nonzero(h == h[0]))  # h ascends: the first block
+    if h.size % n_freqs:
+        return None
+    grid = rows.reshape(-1, n_freqs, 4)
+    if not ((grid[:, :, 0] == grid[:, :1, 0]).all() and (grid[:, :, 1] == grid[:1, :, 1]).all()):
+        return None
+    values = np.empty(grid.shape[:2], dtype=complex)
+    values.real = grid[:, :, 2]
+    values.imag = grid[:, :, 3]
+    return SpectrumMap(grid[:, 0, 0].copy(), grid[0, :, 1].copy(), values)
+
+
+def _read_spectrum_lines(path) -> SpectrumMap:
+    """Line-by-line spectrum CSV parser: the reference for read_spectrum_csv."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     lines = text.splitlines()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateData, DegenerateProblem, EmptyMap, InvalidSystem
+from .errors import DegenerateData, DegenerateProblem, InvalidSystem
 from .sweep import SpectrumMap, SystemTemplate, _parabola_coefficients, hamiltonians
 
 FTOL_REL = 1e-10
@@ -42,48 +42,46 @@ class RidgeSet:
         return sum(p.size for p in self.peaks)
 
 
-def _refine_peak(freqs: np.ndarray, mag: np.ndarray, k: int) -> tuple[float, float]:
-    """Parabolic vertex through grid points k-1, k, k+1 of |s21|."""
-    x = freqs[k - 1 : k + 2]
-    y = mag[k - 1 : k + 2]
-    a, b = _parabola_coefficients(x, y)
-    if not (a < 0.0):  # not concave: keep the grid point
-        return float(x[1]), float(y[1])
-    tv = -b / (2.0 * a)
-    if not (x[0] <= x[1] + tv <= x[2]):
-        return float(x[1]), float(y[1])
-    return float(x[1]) + tv, float(y[1]) - b * b / (4.0 * a)
-
-
 def extract_ridges(spectrum: SpectrumMap, n_ridges: int, min_separation: float) -> RidgeSet:
     """Locate up to n_ridges |s21| peaks per field column.
 
     Peaks are interior local maxima of |s21| over frequency, refined by
     three-point parabolic interpolation, kept strongest first, and
     thinned so surviving peaks sit at least min_separation apart.
-    Columns with fewer maxima simply yield fewer peaks.
+    Columns with fewer maxima simply yield fewer peaks.  A maximum whose
+    parabola is not concave, or whose vertex leaves its bracket, keeps
+    its grid point and height.
     """
     if n_ridges < 1:
         raise InvalidSystem(f"n_ridges must be >= 1, got {n_ridges}")
     if not (isinstance(min_separation, (int, float)) and min_separation > 0):
         raise InvalidSystem(f"min_separation must be > 0, got {min_separation!r}")
-    if spectrum.values.size == 0:
-        raise EmptyMap("spectrum map holds no points")
     freqs = spectrum.freqs
     magnitudes = np.abs(spectrum.values)
+    centre = magnitudes[:, 1:-1]
+    rows, k = np.nonzero((centre > magnitudes[:, :-2]) & (centre > magnitudes[:, 2:]))
+    k += 1
+    x = (freqs[k - 1], freqs[k], freqs[k + 1])
+    y = (magnitudes[rows, k - 1], magnitudes[rows, k], magnitudes[rows, k + 1])
+    with np.errstate(all="ignore"):  # overflow only near the largest floats
+        a, b = _parabola_coefficients(x, y)
+        vertex = x[1] - b / (2.0 * a)
+        apex = y[1] - b * b / (4.0 * a)
+    refined = (a < 0.0) & (x[0] <= vertex) & (vertex <= x[2])
+    peak_freqs = np.where(refined, vertex, x[1])
+    heights = np.where(refined, apex, y[1])
+    bounds = np.searchsorted(rows, np.arange(magnitudes.shape[0] + 1)).tolist()
+    peaks = list(zip(peak_freqs.tolist(), heights.tolist()))
     columns: list[np.ndarray] = []
-    for row in magnitudes:
-        found: list[tuple[float, float]] = []
-        for k in range(1, freqs.size - 1):
-            if row[k] > row[k - 1] and row[k] > row[k + 1]:
-                found.append(_refine_peak(freqs, row, k))
-        found.sort(key=lambda p: -p[1])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        # Python's stable sort, as NaN heights (from overflow) must keep
+        # their place in its comparison order, which np.argsort does not
         kept: list[float] = []
-        for freq, _height in found:
+        for freq, _height in sorted(peaks[lo:hi], key=lambda p: -p[1]):
             if all(abs(freq - other) >= min_separation for other in kept):
                 kept.append(freq)
-            if len(kept) == n_ridges:
-                break
+                if len(kept) == n_ridges:
+                    break
         columns.append(np.array(sorted(kept), dtype=float))
     return RidgeSet(fields=spectrum.fields, peaks=tuple(columns))
 

@@ -122,6 +122,20 @@ class SystemTemplate:
         return replace(self, couplings=updated)
 
 
+def _check_axis(name: str, values) -> np.ndarray:
+    """A grid axis as a float array: nonempty, 1-D, finite, strictly ascending."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidSystem(f"{name} must be a nonempty 1-D array")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise InvalidSystem(f"{name} must be finite, got {float(arr[i])!r} at index {i}")
+    if not np.all(arr[1:] > arr[:-1]):
+        raise InvalidSystem(f"{name} must be strictly ascending")
+    return arr
+
+
 @dataclass(frozen=True)
 class SpectrumMap:
     """Complex transmission on a field x frequency grid.
@@ -135,14 +149,9 @@ class SpectrumMap:
     values: np.ndarray
 
     def __post_init__(self):
-        fields = np.asarray(self.fields, dtype=float)
-        freqs = np.asarray(self.freqs, dtype=float)
+        fields = _check_axis("fields", self.fields)
+        freqs = _check_axis("freqs", self.freqs)
         values = np.asarray(self.values, dtype=complex)
-        for name, axis in (("fields", fields), ("freqs", freqs)):
-            if axis.ndim != 1 or axis.size == 0:
-                raise InvalidSystem(f"{name} must be a nonempty 1-D array")
-            if axis.size > 1 and not np.all(np.diff(axis) > 0):
-                raise InvalidSystem(f"{name} must be strictly ascending")
         if values.shape != (fields.size, freqs.size):
             raise InvalidSystem(
                 f"values shape {values.shape} does not match grid "
@@ -161,12 +170,8 @@ class BranchCurves:
     branches: np.ndarray  # shape (len(fields), n_modes), sorted per row
 
     def __post_init__(self):
-        fields = np.asarray(self.fields, dtype=float)
+        fields = _check_axis("fields", self.fields)
         branches = np.asarray(self.branches, dtype=complex)
-        if fields.ndim != 1 or fields.size == 0:
-            raise InvalidSystem("fields must be a nonempty 1-D array")
-        if fields.size > 1 and not np.all(np.diff(fields) > 0):
-            raise InvalidSystem("fields must be strictly ascending")
         if branches.ndim != 2 or branches.shape[0] != fields.size:
             raise InvalidSystem(f"branches shape {branches.shape} does not match fields")
         object.__setattr__(self, "fields", fields)
@@ -233,15 +238,6 @@ def instantiate(template: SystemTemplate, h: float) -> HybridSystem:
     return HybridSystem(tuple(by_label[name] for name in order), couplings)
 
 
-def _check_grid(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidSystem(f"{name} must be a nonempty 1-D array")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        raise InvalidSystem(f"{name} must be strictly ascending")
-    return arr
-
-
 def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
     """Coupling matrices over a field sweep, stacked to shape (len(fields), n, n).
 
@@ -276,8 +272,8 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     only pre-screens: the SVD runs wherever that bound comes within 10x
     of the limit.
     """
-    fields = _check_grid("fields", fields)
-    freqs = _check_grid("freqs", freqs)
+    fields = _check_axis("fields", fields)
+    freqs = _check_axis("freqs", freqs)
     hams = hamiltonians(template, fields)
     weights = stripline_vector(instantiate(template, 0.0))
     values = np.empty((fields.size, freqs.size), dtype=complex)
@@ -296,7 +292,7 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
 
 def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
     """Sorted complex eigenvalue branches over a field sweep."""
-    fields = _check_grid("fields", fields)
+    fields = _check_axis("fields", fields)
     hams = hamiltonians(template, fields)
     try:
         values = np.linalg.eigvals(hams)
@@ -312,18 +308,19 @@ def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
     return BranchCurves(fields, sorted_rows)
 
 
-def _parabola_coefficients(x, y) -> tuple[float, float]:
+def _parabola_coefficients(x, y):
     """Curvature and slope-at-center of the parabola through three points.
 
-    Works in coordinates centered on the middle point (divided
-    differences), which keeps the arithmetic stable when the abscissas
-    are large and the ordinate differences tiny.  Returns (a, b) of
-    y(t) = a t^2 + b t + y[1] with t = x - x[1].
+    x[0..2] and y[0..2] are the points' abscissas and ordinates, scalars
+    or arrays evaluated elementwise.  Works in coordinates centered on
+    the middle point (divided differences), which keeps the arithmetic
+    stable when the abscissas are large and the ordinate differences
+    tiny.  Returns (a, b) of y(t) = a t^2 + b t + y[1] with t = x - x[1].
     """
-    t_left = float(x[0] - x[1])
-    t_right = float(x[2] - x[1])
-    slope_left = (float(y[1]) - float(y[0])) / (-t_left)
-    slope_right = (float(y[2]) - float(y[1])) / t_right
+    t_left = x[0] - x[1]
+    t_right = x[2] - x[1]
+    slope_left = (y[1] - y[0]) / (-t_left)
+    slope_right = (y[2] - y[1]) / t_right
     a = (slope_right - slope_left) / (t_right - t_left)
     b = slope_right - a * t_right
     return a, b
@@ -336,8 +333,7 @@ def _parabola_vertex(x, y) -> tuple[float, float] | None:
     if not (a > 0.0):
         return None
     tv = -b / (2.0 * a)
-    yv = float(y[1]) - b * b / (4.0 * a)
-    return float(x[1]) + tv, yv
+    return float(x[1] + tv), float(y[1] - b * b / (4.0 * a))
 
 
 def anticrossing_gap(curves: BranchCurves, window: tuple[float, float]) -> AnticrossingReport:
@@ -456,8 +452,6 @@ def thickness_sweep(
                 f"thickness {t} outside model range [{yig_coupling.t_min}, {yig_coupling.t_max}]"
             )
         g2 = yig_coupling.evaluate(t)
-        if g2 < 0.0:
-            raise NegativeCoupling(f"coupling law gives g={g2} at t={t}")
         template = base.with_coupling(varied_label, res, g2)
         if linked_label is not None:
             g1 = crosslink_slope * g2 + crosslink_intercept

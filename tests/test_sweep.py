@@ -468,3 +468,24 @@ def test_thickness_sweep_single_magnon():
     series = thickness_sweep(base, model, 0.5, 0.1, (20.0,))
     (t, template), = series
     assert template.coupling("yig", "cpw") == 0.002 * 20.0 + 0.1
+
+
+@pytest.mark.parametrize("fields, freqs, axis, shown", [
+    ([1000.0], [29.0, math.inf], "freqs", "inf at index 1"),
+    ([math.nan], [29.0], "fields", "nan at index 0"),
+    ([1000.0], [math.nan], "freqs", "nan at index 0"),
+    ([1000.0, -math.inf], [29.0], "fields", "-inf at index 1"),
+])
+def test_non_finite_grid_axes_are_rejected(fields, freqs, axis, shown):
+    # without the finiteness check these reach the transmission kernel
+    # and end in SingularResponse at omega=inf/nan plus RuntimeWarnings
+    template = two_magnon_template()
+    with pytest.raises(InvalidSystem, match=f"{axis} must be finite, got {shown}"):
+        compute_map(template, fields, freqs)
+    with pytest.raises(InvalidSystem, match=f"{axis} must be finite"):
+        SpectrumMap(fields, freqs, np.zeros((len(fields), len(freqs)), complex))
+    if axis == "fields":
+        with pytest.raises(InvalidSystem, match="fields must be finite"):
+            compute_branches(template, fields)
+        with pytest.raises(InvalidSystem, match="fields must be finite"):
+            BranchCurves(fields, np.zeros((len(fields), 3), complex))
