@@ -30,6 +30,7 @@ from .fitting import (
     FitProblem,
     FitResult,
     FreeParameter,
+    RidgeSet,
     coupling_guess_from_ridges,
     damping_guess_from_column,
     extract_ridges,
@@ -113,7 +114,9 @@ def cmd_branches(args) -> int:
     return 0
 
 
-def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, int, float]:
+def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet | None]:
+    """The fit problem, plus the data's ridges when a branch fit or a
+    coupling's default initial guess needs them (extracted once)."""
     fit_cfg = config.fit
     if fit_cfg is None:
         raise ConfigError("config has no 'fit' block")
@@ -132,14 +135,17 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, int, floa
         if "initial" in entry:
             initial = float(entry["initial"])
         else:
-            initial = _default_initial(name, template, data, config,
-                                       n_ridges, min_separation)
-            initial = float(np.clip(initial, lower, upper))
+            if ridges is None and name.startswith("g:"):
+                ridges = extract_ridges(data, n_ridges, min_separation)
+            initial = float(np.clip(_default_initial(name, template, data, ridges), lower, upper))
         free.append(FreeParameter(name=name, lower=lower, upper=upper, initial=initial))
-    return FitProblem(template=template, free=tuple(free)), n_ridges, min_separation
+    problem = FitProblem(template=template, free=tuple(free))
+    if ridges is None and fit_cfg.method == "branches":
+        ridges = extract_ridges(data, n_ridges, min_separation)
+    return problem, ridges
 
 
-def _default_initial(name, template, data, config, n_ridges, min_separation) -> float:
+def _default_initial(name, template, data, ridges) -> float:
     """Recipe for a missing initial guess.
 
     Couplings start from half the minimal ridge splitting near the
@@ -150,9 +156,7 @@ def _default_initial(name, template, data, config, n_ridges, min_separation) -> 
     kind = parts[0]
     if kind == "g":
         magnon = parts[1] if parts[2] == template.resonator.label else parts[2]
-        window = crossing_window(template, magnon)
-        ridges = extract_ridges(data, n_ridges, min_separation)
-        return coupling_guess_from_ridges(ridges, window)
+        return coupling_guess_from_ridges(ridges, crossing_window(template, magnon))
     if kind in ("alpha", "beta"):
         return damping_guess_from_column(data) / 2.0
     label = parts[1]
@@ -178,12 +182,11 @@ def _report_lines(result: FitResult, n_data: int, order: list[str]) -> list[str]
 def cmd_fit(args) -> int:
     config = load_config(args.config)
     data = read_spectrum_csv(args.data)
-    problem, n_ridges, min_separation = _resolve_fit_problem(config, data)
+    problem, ridges = _resolve_fit_problem(config, data)
     if config.fit.method == "map":
         result = fit_map(data, problem)
         n_data = 2 * data.values.size
     else:
-        ridges = extract_ridges(data, n_ridges, min_separation)
         result = fit_branches(ridges, problem)
         n_data = ridges.total()
     lines = _report_lines(result, n_data, [p.name for p in problem.free])

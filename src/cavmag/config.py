@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KittelMaterial, ModeSpec, lambda_to_beta
-from .errors import ConfigError, InvalidSystem, NegativeCoupling
+from .dataio import read_text
+from .errors import ConfigError, DataFormatError, InvalidSystem, NegativeCoupling
 from .fitting import split_parameter_name
 from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel
 from .synth import NoiseSpec
@@ -283,8 +284,11 @@ def parse_config(document: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    try:
+        text = read_text(path)
+    except DataFormatError as exc:  # not UTF-8
+        raise ConfigError(str(exc)) from None
+    return parse_config(text)
 
 
 # ── Canonical writing ──────────────────────────────────────────────────

@@ -280,7 +280,10 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
     elimination with partial pivoting (largest |re| + |im|, first on
     ties, as in LAPACK), run entry by entry on (F, W) arrays, so every
     grid point goes through the same arithmetic whatever the grid shape.
-    Returns (values, cond), both (F, W), with values = w . x for M x = w.
+    Returns (values, cond, x): values and cond are (F, W), with
+    values = w . x for M x = w, and x is the list of the n per-mode (F, W)
+    arrays of the back substitution, returned as computed (the map fit
+    builds its exact Jacobian from them).
 
     cond is the 2-norm condition number of M wherever it could matter:
     the factors bound it, kappa <= ||M||_F ||U^-1||_F ||L^-1||_F, and
@@ -342,7 +345,7 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
         exact = np.full(fi.size, np.inf)
         exact[finite] = np.linalg.cond(m[finite])
         cond[suspect] = exact
-    return values, cond
+    return values, cond, x
 
 
 def s21(system: HybridSystem, omega: float) -> complex:
@@ -360,7 +363,7 @@ def s21(system: HybridSystem, omega: float) -> complex:
     _check_system(system)
     omega = float(omega)
     ham = _assemble_hamiltonian(system)
-    values, cond = _transmission(ham[None], stripline_vector(system), np.array([omega]))
+    values, cond, _ = _transmission(ham[None], stripline_vector(system), np.array([omega]))
     if cond[0, 0] > SINGULAR_COND_LIMIT:
         raise SingularResponse(
             f"response matrix numerically singular at omega={omega!r} "

@@ -109,11 +109,25 @@ def _grid_from_rows(rows: np.ndarray) -> SpectrumMap | None:
     return SpectrumMap(grid[:, 0, 0].copy(), grid[0, :, 1].copy(), values)
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text.
+
+    A byte sequence that is not UTF-8 raises DataFormatError naming the
+    line, counted as str.splitlines counts, of its first byte.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DataFormatError(f"byte 0x{raw[exc.start]:02x} is not valid UTF-8",
+                              line=line) from None
+
+
 def _read_spectrum_lines(path) -> SpectrumMap:
     """Line-by-line spectrum CSV parser: the reference for read_spectrum_csv."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError("file is empty", line=1)
     if lines[0] != SPECTRUM_HEADER:
@@ -177,8 +191,12 @@ def write_branches_csv(path, curves: BranchCurves) -> None:
 
 
 def read_branches_csv(path) -> BranchCurves:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    """Parse a branch CSV back into curves.
+
+    Malformed rows, non-finite values included, raise DataFormatError
+    carrying the offending line number.
+    """
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != BRANCH_HEADER:
         raise DataFormatError(f"expected header {BRANCH_HEADER!r}", line=1)
     per_field: dict[float, dict[int, complex]] = {}
@@ -192,6 +210,8 @@ def read_branches_csv(path) -> BranchCurves:
             value = complex(float(parts[2]), float(parts[3]))
         except ValueError:
             raise DataFormatError(f"unparseable row {line!r}", line=lineno) from None
+        if not (math.isfinite(h) and math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise DataFormatError(f"non-finite value in {line!r}", line=lineno)
         per_field.setdefault(h, {})[k] = value
     if not per_field:
         raise DataFormatError("no data rows", line=2)

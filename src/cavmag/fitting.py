@@ -2,13 +2,30 @@
 
 Fits minimize either the squared distance between measured ridge
 frequencies and the nearest model eigenbranch (fit_branches) or the
-squared complex misfit of the full transmission map (fit_map).  The
-optimizer is a bounded derivative-free simplex search with a pinned
-convergence contract: converged means the objective's relative decrease
-across an iteration fell below 1e-10 or the step norm (in box-scaled
-coordinates) fell below 1e-12, and never holds for a non-finite
-objective.  Non-convergence is never an exception; the best point found
-is returned with converged False after five jittered restarts.
+squared complex misfit of the full transmission map (fit_map).  Both
+use one box-constrained Levenberg-Marquardt search (More 1978 diagonal
+scaling) on exact Jacobians.  Steps are projected into the bounds, and
+a parameter sitting on a bound with its gradient pointing outward is
+held fixed for that step.
+
+Jacobians.  The response matrix M = i (omega I - H) is symmetric, so
+the solve M y = w that gives s21 = w . y also gives every derivative,
+d s21/dp = i y^T (dH/dp) y + 2 (dw/dp) . y.  A branch residual, a ridge
+frequency minus the real part of its nearest eigenvalue, has the
+derivative -Re(v^T (dH/dp) v / v^T v), with v that eigenvalue's
+eigenvector.  beta enters only through sqrt(beta), whose derivative is
+infinite at the allowed bound 0, so the search steps in s = sqrt(beta)
+and reports sigma_beta = 2 s sigma_s.
+
+Convergence contract: a fit has converged when an accepted step lowers
+the objective by at most FTOL_REL of its value, when a step measured in
+box units (its largest |step| / (upper - lower)) is at most XTOL, or
+when the projected gradient is zero, which includes a zero objective.
+A non-finite objective never converges.  iterations counts the trial
+steps, each one model evaluation after the one at the start point, up
+to MAX_ITERATIONS.  Non-convergence is never an exception: the best
+point found is returned with converged False.  A step whose objective
+or Jacobian is not finite is rejected.
 """
 
 from __future__ import annotations
@@ -19,13 +36,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateData, DegenerateProblem, InvalidSystem
-from .sweep import SpectrumMap, SystemTemplate, _parabola_coefficients, hamiltonians
+from .sweep import (
+    SpectrumMap,
+    SystemTemplate,
+    _parabola_coefficients,
+    _each_block,
+    hamiltonians,
+)
 
 FTOL_REL = 1e-10
 XTOL = 1e-12
-MULTISTART = 5
-JITTER = 0.3
-_TINY = 1e-300
+MAX_ITERATIONS = 100
+# Starting damping, relative to the diagonal scaling: close to Gauss-Newton.
+_MU_START = 1e-3
 
 
 # ── Ridge extraction ───────────────────────────────────────────────────
@@ -158,9 +181,15 @@ class FitProblem:
 class FitResult:
     """Best parameters, data misfit and optimizer bookkeeping.
 
-    history is the accepted best-objective sequence (nonincreasing);
-    stderr holds per-parameter estimates from the local quadratic model,
-    NaN where the curvature is unusable.
+    residual is the objective at params; iterations the number of trial
+    steps (one model evaluation each, see the module docstring); history
+    the objective at the start and after each accepted step
+    (nonincreasing).  stderr comes from the covariance s^2 (J^T J)^-1,
+    with s^2 = residual / (n_data - n_free) and J the residual Jacobian
+    at params.  It is NaN for a parameter on a bound, for every
+    parameter when J^T J over the others is singular (not positive
+    definite), and when the residual is not finite or no degree of
+    freedom is left.
     """
 
     params: dict[str, float]
@@ -192,12 +221,12 @@ def apply_parameters(template: SystemTemplate, values: dict[str, float]) -> Syst
             if label == out.resonator.label:
                 out = replace(out, resonator=replace(out.resonator, **{kind: float(value)}))
             else:
+                if label not in {m.label for m in out.magnons}:
+                    raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
                 magnons = tuple(
                     replace(m, **{kind: float(value)}) if m.label == label else m
                     for m in out.magnons
                 )
-                if magnons == out.magnons:
-                    raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
                 out = replace(out, magnons=magnons)
         else:  # gamma or four_pi_m
             magnon = out.magnon(label)
@@ -209,160 +238,208 @@ def apply_parameters(template: SystemTemplate, values: dict[str, float]) -> Syst
     return out
 
 
-# ── Bounded simplex search ─────────────────────────────────────────────
+# ── Box-constrained Levenberg-Marquardt ────────────────────────────────
 
 
-@dataclass
-class _SearchOutcome:
-    x: np.ndarray
-    fun: float
-    iterations: int
-    converged: bool
-    history: list[float]
+def _finite(f, grad, normal) -> bool:
+    return math.isfinite(f) and bool(np.isfinite(grad).all() and np.isfinite(normal).all())
 
 
-def _simplex_search(fun, x0, lower, upper, maxiter) -> _SearchOutcome:
-    """Nelder-Mead on the unit box [0, 1]^n (coordinates scaled by the
-    bounds), with candidate points clipped back into the box."""
+def _levenberg_marquardt(evaluate, x, lower, upper):
+    """Minimize f = |r|^2 over the box [lower, upper].
+
+    evaluate(x) returns (f, J^T r, J^T J).  Returns (x, f, J^T J,
+    iterations, converged, history) for the best point found; the
+    convergence contract is the module docstring's.
+    """
+    f, grad, normal = evaluate(x)
+    history = [f]
+    if not _finite(f, grad, normal):
+        return x, f, normal, 0, False, history
     span = upper - lower
-    to_u = lambda x: (x - lower) / span
-    to_x = lambda u: lower + np.clip(u, 0.0, 1.0) * span
-    f = lambda u: float(fun(to_x(u)))
-    n = x0.size
-    u0 = np.clip(to_u(x0), 0.0, 1.0)
-    step = 0.08
-    simplex = [u0]
-    for i in range(n):
-        vertex = u0.copy()
-        vertex[i] = vertex[i] + step if vertex[i] + step <= 1.0 else vertex[i] - step
-        simplex.append(vertex)
-    simplex = np.array(simplex)
-    values = np.array([f(v) for v in simplex])
-    history = [float(np.min(values))]
-    converged = False
-    iteration = 0
-    while iteration < maxiter:
-        iteration += 1
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
-        best, worst = values[0], values[-1]
-        if not math.isfinite(best):
-            break  # no finite vertex to compare against: never converged
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0]))) if n else 0.0
-        if (worst - best) <= FTOL_REL * max(abs(best), _TINY) or diameter <= XTOL:
-            converged = True
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = np.clip(centroid + (centroid - simplex[-1]), 0.0, 1.0)
-        f_reflected = f(reflected)
-        if f_reflected < values[0]:
-            expanded = np.clip(centroid + 2.0 * (reflected - centroid), 0.0, 1.0)
-            f_expanded = f(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = np.clip(centroid + 0.5 * (reflected - centroid), 0.0, 1.0)
-            else:
-                contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_contracted = f(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-        history.append(min(history[-1], float(np.min(values))))
-    k = int(np.argmin(values))
-    return _SearchOutcome(
-        x=to_x(simplex[k]), fun=float(values[k]), iterations=iteration,
-        converged=converged, history=history,
-    )
+    scale = np.diag(normal).copy()  # More's D^2: the largest diag(J^T J) seen
+    mu, nu = _MU_START, 2.0
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        free = ~(((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0)))
+        if not np.any(grad[free]):
+            return x, f, normal, iteration - 1, True, history
+        damping = np.where(scale > 0.0, scale, 1.0)[free]
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(normal[np.ix_(free, free)] + np.diag(mu * damping),
+                                     -grad[free])
+        trial = np.clip(x + step, lower, upper)
+        step = trial - x
+        if np.max(np.abs(step) / span) <= XTOL:
+            return x, f, normal, iteration - 1, True, history
+        f_new, grad_new, normal_new = evaluate(trial)
+        if not (_finite(f_new, grad_new, normal_new) and f_new <= f):
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        predicted = -(2.0 * grad @ step + step @ normal @ step)
+        rho = (f - f_new) / predicted if predicted > 0.0 else 0.0
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)  # Nielsen's update
+        nu = 2.0
+        converged = f - f_new <= FTOL_REL * f
+        x, f, grad, normal = trial, f_new, grad_new, normal_new
+        scale = np.maximum(scale, np.diag(normal))
+        history.append(f)
+        if converged:
+            return x, f, normal, iteration, True, history
+    return x, f, normal, MAX_ITERATIONS, False, history
 
 
-def _stderr_estimates(fun, x, lower, upper, best, n_data) -> np.ndarray:
-    """Per-parameter standard errors from the local quadratic model."""
-    n = x.size
-    out = np.full(n, math.nan)
-    dof = n_data - n
-    if dof <= 0 or not math.isfinite(best):
+def _standard_errors(x, lower, upper, f, normal, n_data) -> np.ndarray:
+    """sqrt(diag(s^2 (J^T J)^-1)) over the parameters off their bounds."""
+    out = np.full(x.size, math.nan)
+    inside = (x > lower) & (x < upper)
+    dof = n_data - x.size
+    if dof <= 0 or not math.isfinite(f) or not inside.any():
         return out
-    h = 1e-4 * (upper - lower)
-    clip = lambda p: np.clip(p, lower, upper)
     try:
-        hessian = np.empty((n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h[i]
-            hessian[i, i] = (fun(clip(x + ei)) + fun(clip(x - ei)) - 2.0 * best) / h[i] ** 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h[i]
-                ej[j] = h[j]
-                mixed = (
-                    fun(clip(x + ei + ej))
-                    - fun(clip(x + ei - ej))
-                    - fun(clip(x - ei + ej))
-                    + fun(clip(x - ei - ej))
-                ) / (4.0 * h[i] * h[j])
-                hessian[i, j] = hessian[j, i] = mixed
-        covariance = 2.0 * (best / dof) * np.linalg.inv(hessian)
-        diag = np.diag(covariance)
-        out = np.where(diag >= 0.0, np.sqrt(np.abs(diag)), math.nan)
+        factor = np.linalg.cholesky(normal[np.ix_(inside, inside)])
     except np.linalg.LinAlgError:
-        pass
+        return out  # J^T J is singular: no curvature to report
+    # (L L^T)^-1 = L^-T L^-1, whose diagonal sums the columns of L^-1 squared
+    factor_inv = np.linalg.solve(factor, np.eye(factor.shape[0]))
+    out[inside] = np.sqrt(f / dof * np.sum(factor_inv**2, axis=0))
     return out
 
 
-def _optimize(objective, problem: FitProblem, n_data: int) -> FitResult:
-    names = [p.name for p in problem.free]
-    if not names:
-        residual = float(objective(np.empty(0)))
-        return FitResult(params={}, residual=residual, iterations=0,
-                         converged=math.isfinite(residual),
-                         stderr={}, history=(residual,))
-    x0 = np.array([p.initial for p in problem.free], dtype=float)
-    lower = np.array([p.lower for p in problem.free], dtype=float)
-    upper = np.array([p.upper for p in problem.free], dtype=float)
-    maxiter = 200 * (len(names) + 1) + 400
-    best = _simplex_search(objective, x0, lower, upper, maxiter)
-    total_iterations = best.iterations
-    if not best.converged:
-        rng = np.random.default_rng(1789)  # fixed: restarts must be reproducible
-        for _ in range(MULTISTART):
-            jittered = np.clip(x0 * (1.0 + rng.uniform(-JITTER, JITTER, x0.size)), lower, upper)
-            attempt = _simplex_search(objective, jittered, lower, upper, maxiter)
-            total_iterations += attempt.iterations
-            if attempt.fun < best.fun or (attempt.converged and not best.converged
-                                          and attempt.fun <= best.fun * (1.0 + 1e-9)):
-                best = attempt
-            if best.converged:
-                break
-    stderr = _stderr_estimates(objective, best.x, lower, upper, best.fun, n_data)
-    return FitResult(
-        params=dict(zip(names, (float(v) for v in best.x))),
-        residual=best.fun,
-        iterations=total_iterations,
-        converged=best.converged,
-        stderr=dict(zip(names, (float(s) for s in stderr))),
-        history=tuple(best.history),
-    )
+# ── Parameter derivatives ──────────────────────────────────────────────
+
+
+def _free_slots(problem: FitProblem) -> list[tuple[str, list[int], str]]:
+    """(kind, mode indices in instantiation order, first label) per free parameter."""
+    order = problem.template.mode_order()
+    slots = []
+    for p in problem.free:
+        kind, labels = split_parameter_name(p.name)
+        slots.append((kind, [order.index(label) for label in labels], labels[0]))
+    return slots
+
+
+def _root_betas(template: SystemTemplate) -> np.ndarray:
+    """sqrt(beta) per mode, in instantiation order."""
+    beta = {m.label: m.beta for m in template.magnons}
+    beta[template.resonator.label] = template.resonator.beta
+    return np.sqrt([beta[label] for label in template.mode_order()])
+
+
+def _kittel_derivative(kind: str, material, h):
+    """d omega_K / d gamma or d omega_K / d four_pi_m at fields h (>= 0)."""
+    root = np.sqrt(h * (h + material.four_pi_m))
+    if kind == "gamma":
+        return root
+    # gamma h / (2 root): 0 at h = 0, where omega_K = 0 for every four_pi_m
+    return np.divide(material.gamma * h, 2.0 * root,
+                     out=np.zeros(np.shape(root)), where=root > 0.0)
+
+
+def _quadratic_forms(slots, template: SystemTemplate, z, z_root_beta, h) -> list:
+    """z^T (dH/dp) z per free parameter, elementwise over arrays.
+
+    z holds the per-mode components and z_root_beta = sum_k sqrt(beta_k)
+    z_k (only read for beta, where p is sqrt(beta)); h broadcasts
+    against z.
+    """
+    forms = []
+    for kind, index, label in slots:
+        zj = z[index[0]]
+        if kind == "g":
+            forms.append(2.0 * zj * z[index[1]])
+        elif kind == "omega":
+            forms.append(zj * zj)
+        elif kind == "alpha":
+            forms.append(-1j * zj * zj)
+        elif kind == "beta":  # dH/ds_j: -2i s_j at (j, j), -i s_k at (j, k) and (k, j)
+            forms.append(-2j * zj * z_root_beta)
+        else:
+            material = template.magnon(label).material
+            forms.append(zj * zj * _kittel_derivative(kind, material, h))
+    return forms
+
+
+def _map_columns(slots, template: SystemTemplate, model, y, h) -> list:
+    """d s21/dp per free parameter over one block of the map.
+
+    i y^T (dH/dp) y, plus 2 (dw/ds_j) . y = 2 sqrt(2) y_j for
+    s_j = sqrt(beta_j); model is the block's s21, y the kernel's
+    per-mode solution arrays and h the block's fields as a column.
+    """
+    # sum_k sqrt(beta_k) y_k = s21 / sqrt(2), as w = sqrt(2) sqrt(beta)
+    forms = _quadratic_forms(slots, template, y, model / math.sqrt(2.0), h)
+    columns = []
+    for form, (kind, index, _) in zip(forms, slots):
+        column = 1j * form
+        if kind == "beta":
+            column += 2.0 * math.sqrt(2.0) * y[index[0]]
+        columns.append(column)
+    return columns
+
+
+def _eigenvalue_derivatives(slots, template: SystemTemplate, v, h) -> np.ndarray:
+    """d lambda/dp = v^T (dH/dp) v / v^T v, shape (len(slots), len(v)).
+
+    v holds one eigenvector per row, h its field; the result is not
+    finite where v^T v = 0, as at an exceptional point.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        forms = _quadratic_forms(slots, template, list(v.T), v @ _root_betas(template), h)
+        return np.array(forms).reshape(len(slots), len(v)) / np.sum(v * v, axis=1)
 
 
 # ── Fits ───────────────────────────────────────────────────────────────
 
 
+def _optimize(evaluate, problem: FitProblem, n_data: int) -> FitResult:
+    """Run the search in internal coordinates (sqrt for beta) and report.
+
+    evaluate takes the parameter values (beta itself, not its root) and
+    returns (f, J^T r, J^T J), its beta columns taken with respect to
+    sqrt(beta).
+    """
+    names = [p.name for p in problem.free]
+    root = np.array([split_parameter_name(name)[0] == "beta" for name in names], dtype=bool)
+
+    def values(u: np.ndarray) -> np.ndarray:
+        return np.where(root, u * u, u)
+
+    def internal(v) -> np.ndarray:
+        v = np.array(v, dtype=float)
+        return np.where(root, np.sqrt(v), v)
+
+    if not names:
+        residual = evaluate(np.empty(0))[0]
+        return FitResult(params={}, residual=residual, iterations=0,
+                         converged=math.isfinite(residual),
+                         stderr={}, history=(residual,))
+    lower = internal([p.lower for p in problem.free])
+    upper = internal([p.upper for p in problem.free])
+    x0 = np.clip(internal([p.initial for p in problem.free]), lower, upper)
+    x, f, normal, iterations, converged, history = _levenberg_marquardt(
+        lambda u: evaluate(values(u)), x0, lower, upper)
+    stderr = _standard_errors(x, lower, upper, f, normal, n_data)
+    stderr = np.where(root, 2.0 * x * stderr, stderr)
+    return FitResult(
+        params=dict(zip(names, values(x).tolist())),
+        residual=f,
+        iterations=iterations,
+        converged=converged,
+        stderr=dict(zip(names, stderr.tolist())),
+        history=tuple(history),
+    )
+
+
+def _candidate(problem: FitProblem, values: np.ndarray) -> SystemTemplate:
+    return apply_parameters(problem.template,
+                            {p.name: float(v) for p, v in zip(problem.free, values)})
+
+
 def fit_branches(ridges: RidgeSet, problem: FitProblem) -> FitResult:
     """Fit free parameters so eigenbranch real parts meet the ridges.
 
-    The objective is the summed squared distance from each ridge
-    frequency to the nearest model eigenvalue real part at its field.
+    The residuals are each ridge frequency minus the real part of the
+    nearest model eigenvalue at its field.
     """
     n_data = ridges.total()
     n_free = len(problem.free)
@@ -370,21 +447,26 @@ def fit_branches(ridges: RidgeSet, problem: FitProblem) -> FitResult:
         raise DegenerateProblem(
             f"{n_data} ridge points cannot constrain {n_free} parameters (need >= {n_free + 2})"
         )
-    names = [p.name for p in problem.free]
-    occupied = [(float(h), peaks) for h, peaks in zip(ridges.fields, ridges.peaks) if peaks.size]
-    fields = np.array([h for h, _ in occupied], dtype=float)
+    counts = np.array([peaks.size for peaks in ridges.peaks])
+    occupied = counts > 0
+    fields = np.asarray(ridges.fields, dtype=float)[occupied]
+    rows = np.repeat(np.arange(fields.size), counts[occupied])
+    ridge = np.concatenate(ridges.peaks)
+    h = fields[rows]
+    slots = _free_slots(problem)
 
-    def objective(values: np.ndarray) -> float:
-        candidate = apply_parameters(problem.template, dict(zip(names, values)))
-        hams = hamiltonians(candidate, fields)
-        real_parts = np.sort(np.linalg.eigvals(hams).real, axis=1)
-        total = 0.0
-        for row, (_h, peaks) in zip(real_parts, occupied):
-            distance = np.min(np.abs(peaks[:, None] - row[None, :]), axis=1)
-            total += float(distance @ distance)
-        return total
+    def evaluate(values: np.ndarray):
+        candidate = _candidate(problem, values)
+        eigenvalues, vectors = np.linalg.eig(hamiltonians(candidate, fields))
+        real = eigenvalues.real[rows]
+        nearest = np.argmin(np.abs(ridge[:, None] - real), axis=1)
+        residual = ridge - real[np.arange(ridge.size), nearest]
+        f = float(residual @ residual)
+        v = vectors[rows, :, nearest]  # the nearest eigenvalue's eigenvector
+        jac = -_eigenvalue_derivatives(slots, candidate, v, h).real
+        return f, jac @ residual, jac @ jac.T
 
-    return _optimize(objective, problem, n_data)
+    return _optimize(evaluate, problem, n_data)
 
 
 def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
@@ -392,23 +474,37 @@ def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
 
     The objective is sum |model - data|^2 over the grid; real and
     imaginary parts count as separate residuals for the error model.
+    The model runs block by block as in compute_map, with the same
+    SingularResponse, and only (f, J^T r, J^T J) accumulate, so no
+    full-grid residual or Jacobian is held.
     """
-    from .sweep import compute_map  # local import keeps module load light
-
     n_data = 2 * data.values.size
     if data.values.size < len(problem.free):
         raise DegenerateProblem(
             f"{data.values.size} map points cannot constrain {len(problem.free)} parameters"
         )
-    names = [p.name for p in problem.free]
+    slots = _free_slots(problem)
 
-    def objective(values: np.ndarray) -> float:
-        candidate = apply_parameters(problem.template, dict(zip(names, values)))
-        model = compute_map(candidate, data.fields, data.freqs).values
-        misfit = model - data.values
-        return float(np.sum(misfit.real**2 + misfit.imag**2))
+    def evaluate(values: np.ndarray):
+        candidate = _candidate(problem, values)
+        f = 0.0
+        grad = np.zeros(len(slots))
+        normal = np.zeros((len(slots), len(slots)))
 
-    return _optimize(objective, problem, n_data)
+        def accumulate(block, model, y):
+            nonlocal f, grad, normal
+            misfit = (model - data.values[block]).view(np.float64).ravel()
+            f += float(misfit @ misfit)
+            if slots:
+                columns = _map_columns(slots, candidate, model, y, data.fields[block, None])
+                jac = np.stack(columns).view(np.float64).reshape(len(slots), -1)
+                grad += jac @ misfit
+                normal += jac @ jac.T
+
+        _each_block(candidate, data.fields, data.freqs, accumulate)
+        return f, grad, normal
+
+    return _optimize(evaluate, problem, n_data)
 
 
 # ── Linear regression ──────────────────────────────────────────────────

@@ -261,6 +261,40 @@ def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
 _FIELD_BLOCK = 32
 
 
+def _each_block(template: SystemTemplate, fields: np.ndarray, freqs: np.ndarray, visit) -> None:
+    """Run the transmission kernel over checked axes, _FIELD_BLOCK fields
+    at a time, calling visit(block, values, x) on each block.
+
+    block is the slice of fields covered, values the block's (fields,
+    freqs) transmission and x the kernel's per-mode solution arrays.
+    Raises SingularResponse at the first offending point in row-major
+    order, before visiting that point's block.
+    """
+    hams = hamiltonians(template, fields)
+    weights = stripline_vector(instantiate(template, 0.0))
+    for start in range(0, fields.size, _FIELD_BLOCK):
+        block = slice(start, start + _FIELD_BLOCK)
+        # values and x stay bound while the kernel runs on the next block.
+        # Freed first, they let malloc hand the block's pages back to the
+        # system, and every block faults them in again: on full_device
+        # about 14x the page faults and 1.7x the compute_map time.
+        values, x = _guarded_transmission(hams[block], weights, fields[block], freqs)
+        visit(block, values, x)
+
+
+def _guarded_transmission(hams, weights, fields, freqs):
+    """(values, x) of the kernel, or SingularResponse naming the first bad point."""
+    values, cond, x = _transmission(hams, weights, freqs)
+    bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
+    if bad.size:
+        i, j = bad[0]
+        raise SingularResponse(
+            f"response matrix numerically singular at h={fields[i]!r}, "
+            f"omega={freqs[j]!r} (estimated condition number {cond[i, j]:.3e})"
+        )
+    return values, x
+
+
 def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     """Transmission map over a field x frequency grid.
 
@@ -274,19 +308,12 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     """
     fields = _check_axis("fields", fields)
     freqs = _check_axis("freqs", freqs)
-    hams = hamiltonians(template, fields)
-    weights = stripline_vector(instantiate(template, 0.0))
     values = np.empty((fields.size, freqs.size), dtype=complex)
-    for start in range(0, fields.size, _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
-        values[block], cond = _transmission(hams[block], weights, freqs)
-        bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
-        if bad.size:
-            i, j = bad[0]
-            raise SingularResponse(
-                f"response matrix numerically singular at h={fields[start + i]!r}, "
-                f"omega={freqs[j]!r} (estimated condition number {cond[i, j]:.3e})"
-            )
+
+    def store(block, block_values, _x):
+        values[block] = block_values
+
+    _each_block(template, fields, freqs, store)
     return SpectrumMap(fields, freqs, values)
 
 

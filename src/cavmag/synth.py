@@ -205,7 +205,7 @@ def passivity_check(system: HybridSystem, omegas) -> PassivityReport:
         max_im = float(np.max(eigenvalues.imag)) if np.all(np.isfinite(eigenvalues)) else math.inf
     except np.linalg.LinAlgError:
         max_im = math.inf
-    values, cond = _transmission(ham[None], weights, np.asarray(omegas, dtype=float).ravel())
+    values, cond, _ = _transmission(ham[None], weights, np.asarray(omegas, dtype=float).ravel())
     magnitudes = np.abs(1.0 + values)
     if np.any(cond > SINGULAR_COND_LIMIT) or not np.all(np.isfinite(magnitudes)):
         worst = math.inf

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavmag import cli
 from cavmag.cli import main
 from cavmag.dataio import read_spectrum_csv
 
@@ -184,6 +185,51 @@ def test_fit_non_finite_data_exits_5(tmp_path, capsys):
     rc = main(["fit", "--config", str(config), "--data", str(data)])
     assert rc == 5
     assert "line 8: non-finite value" in capsys.readouterr().err
+
+
+def test_fit_data_not_utf8_exits_5(tmp_path, capsys):
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(small_doc(fit={"method": "map", "free": []})),
+                      encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"h_oe,omega,re_s21,im_s21\n1,2,3,\xff\n")
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    assert rc == 5
+    assert "line 2: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.config"
+    config.write_bytes(b'{"version": 1\xff}')
+    rc = main(["map", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert "config error: line 1: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
+
+def test_branch_fit_extracts_ridges_once(tmp_path, monkeypatch, capsys):
+    doc = small_doc(
+        modes=[
+            {"label": "py", "alpha": 0.003, "beta": 0.002,
+             "material": {"gamma": 2.94e-3, "four_pi_m": 10900.0}},
+            {"label": "cpw", "alpha": 0.002, "beta": 0.005, "omega": 29.2},
+            {"label": "yig", "alpha": 0.001, "beta": 0.001, "material": dict(YIG_MATERIAL)},
+        ],
+        couplings=[{"pair": ["py", "cpw"], "g": 0.2}, {"pair": ["cpw", "yig"], "g": 0.21}],
+        field_grid={"start": 200.0, "stop": 6800.0, "count": 121},
+        freq_grid={"start": 27.2, "stop": 31.2, "count": 401},
+        fit={"method": "branches", "free": [{"name": "g:py:cpw", "lower": 0.02, "upper": 0.6},
+                                            {"name": "g:cpw:yig", "lower": 0.02, "upper": 0.6}]},
+    )
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    assert main(["map", "--config", str(config), "--out", str(data)]) == 0
+    calls = []
+    extract = cli.extract_ridges
+    monkeypatch.setattr(cli, "extract_ridges", lambda *args: calls.append(args) or extract(*args))
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    assert rc == 0, capsys.readouterr().err
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["g:cpw", "g:cpw:yig:cpw", "alpha:cpw:yig", "beta"])

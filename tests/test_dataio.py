@@ -145,6 +145,27 @@ def test_branches_read_rejects_incomplete_sets(tmp_path):
         read_branches_csv(path)
 
 
+@pytest.mark.parametrize("row", ["1,0,nan,inf", "inf,0,29,0", "1,0,29,-inf"])
+def test_branches_read_rejects_non_finite_values(tmp_path, row):
+    path = tmp_path / "branches.csv"
+    path.write_text(BRANCH_HEADER + "\n0,0,29,0\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 3: non-finite value") as err:
+        read_branches_csv(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("reader, header", [(read_spectrum_csv, SPECTRUM_HEADER),
+                                            (read_branches_csv, BRANCH_HEADER)])
+@pytest.mark.parametrize("prefix, line", [(b"", 2), (b"1,1,0,0\r\n", 3)],
+                         ids=["first-row", "after-crlf"])
+def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader, header,
+                                                          prefix, line):
+    path = tmp_path / "data.csv"
+    path.write_bytes(header.encode("ascii") + b"\n" + prefix + b"1,2,3,\xff\n")
+    with pytest.raises(DataFormatError, match=f"line {line}: byte 0xff is not valid UTF-8"):
+        reader(path)
+
+
 # ── Thickness CSV ──────────────────────────────────────────────────────
 
 

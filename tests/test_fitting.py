@@ -291,3 +291,10 @@ def test_damping_guess_from_column():
     empty = SpectrumMap(np.array([1.0]), np.array([1.0, 2.0]), np.zeros((1, 2), complex))
     with pytest.raises(DegenerateData, match="no response"):
         damping_guess_from_column(empty)
+
+
+def test_apply_parameters_accepts_a_magnon_damping_at_its_current_value():
+    template = one_magnon_template(alpha_m=0.005, beta_m=0.004)
+    out = apply_parameters(template, {"alpha:yig": 0.005, "beta:yig": 0.004})
+    assert out == template
+    FitProblem(template, (FreeParameter("beta:yig", 0.0, 0.01, 0.004),))
