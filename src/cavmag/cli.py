@@ -84,7 +84,7 @@ def cmd_kittel(args) -> int:
     rows = []
     for label, material in materials.items():
         for h in fields:
-            rows.append((label, float(h), kittel_frequency(material, float(h))))
+            rows.append((label, float(h), kittel_frequency(material, float(h), label)))
     print("label h_oe omega")
     for label, h, omega in rows:
         print(f"{label} {format_float(h)} {format_float(omega * scale)}")

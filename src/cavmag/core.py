@@ -38,6 +38,11 @@ SINGULAR_COND_LIMIT = 1e14
 _SCREEN_MARGIN = 10.0
 
 
+def format_float(value: float) -> str:
+    """'%.17g' text: enough digits for the value to read back exactly."""
+    return "%.17g" % value
+
+
 # ── Mode and system types ──────────────────────────────────────────────
 
 
@@ -155,19 +160,27 @@ def canonical_three_mode(
 # ── Kittel dispersion ──────────────────────────────────────────────────
 
 
-def kittel_frequency(material: KittelMaterial, h):
+def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
     """Ferromagnetic resonance frequency at applied field h (Oe).
 
     omega = gamma * sqrt(h * (h + four_pi_m)), strictly increasing in h
     with omega(0) = 0.  Accepts a scalar or an ndarray of fields; for an
-    array the error names the first offending field.
+    array the error names the first offending field.  An omega that
+    overflows raises InvalidSystem naming the field, and the magnon when
+    its label is given.
     """
     h_arr = np.asarray(h, dtype=float)
     bad = ~(np.isfinite(h_arr) & (h_arr >= 0.0))
     if np.any(bad):
         first = h if h_arr.ndim == 0 else h_arr[bad][0]
         raise NegativeField(f"applied field must be finite and >= 0, got {first!r}")
-    out = material.gamma * np.sqrt(h_arr * (h_arr + material.four_pi_m))
+    with np.errstate(over="ignore"):
+        out = material.gamma * np.sqrt(h_arr * (h_arr + material.four_pi_m))
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        magnon = "" if label is None else f"magnon {label!r}: "
+        raise InvalidSystem(f"{magnon}Kittel frequency overflows at "
+                            f"h={format_float(h_arr[overflow][0])}")
     return float(out) if h_arr.ndim == 0 else out
 
 

@@ -1,8 +1,10 @@
 """File formats: spectrum CSV, branch CSV, thickness CSV, PGM heatmaps.
 
-All floats are written with 17 significant digits so a write - read -
-write cycle is byte-identical and values survive exactly.  Files store
-model units only.
+All floats are written as '%.17g' text, so a write - read - write cycle
+is byte-identical and values survive exactly.  Files store model units
+only.  The spectrum writer computes the '%.17g' digits of its s21 values
+exactly with array arithmetic (_format_17g), so its bytes are those of
+'%.17g' % v for every value.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 
+from .core import format_float
 from .errors import DataFormatError
 from .sweep import BranchCurves, SpectrumMap
 
@@ -19,24 +22,177 @@ BRANCH_HEADER = "h_oe,branch_index,re_eig,im_eig"
 THICKNESS_HEADER = "t_um,g1,g2,gap_p1,gap_p2"
 
 
-def format_float(value: float) -> str:
-    return "%.17g" % value
+# ── Exact '%.17g' text of float64 arrays ─────────────────────────────
+#
+# '%.17g' % v prints the 17-digit integer D nearest to |v|·10^(16-e),
+# ties to even, where e = floor(log10|v|): fixed notation for
+# -4 <= e < 17, scientific otherwise, trailing fraction zeros and a bare
+# point dropped.  CPython finds D with bignum arithmetic.  For
+# 1e-6 < |v| < 1e16, 16 - e lies in 1..22 and 10^(16-e) is an exact
+# double, so Dekker's error-free product gives |v|·10^(16-e) exactly as
+# hi + lo.  The product lies in [1e16, 1e17), where doubles are even
+# integers, so D = hi + rint(lo) is rounded half to even like CPython's.
+
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10^0 .. 10^22, exact
+_INT10 = 10 ** np.arange(18, dtype=np.int64)
+_VELTKAMP = 2.0**27 + 1.0
+
+
+def _split(a):
+    """a = hi + lo with hi holding the upper 26 bits of a's significand."""
+    t = a * _VELTKAMP
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _scaled(a, k):
+    """a·10^k as hi + lo exactly: Dekker's product with the exact 10^k."""
+    hi = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, lo
+
+
+def _decimal_17(a):
+    """(e, D) with |a| rounded to 17 digits D·10^(e-16), 1e-6 < a < 1e16.
+
+    log10 gives e to within one; the exact product decides the rest.
+    """
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 15)
+    hi, lo = _scaled(a, 16 - e)
+    up = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    down = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    moved = np.flatnonzero(up | down)
+    if moved.size:
+        e[moved] += up[moved].astype(np.int64) - down[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], 16 - e[moved])
+    # |a| < 10^(e+1) never rounds up to 10^17 here: no double in range
+    # lies within 5e-18 relative of a power of ten below it.
+    return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+# The text of every 4-digit group 0000..9999 as one little-endian word,
+# in four spellings: all digits (offset 0 in _GROUP_TEXT), leading zeros
+# as NUL, leading zeros as NUL but the units digit kept, and trailing
+# zeros as NUL.
+_LEAD, _UNITS, _TRAIL = 10000, 20000, 30000
+_group = np.arange(10000, dtype=np.int16)[:, None]  # int16 keeps import light
+_place = np.array([1000, 100, 10, 1], dtype=np.int16)
+_ascii = (_group // _place % 10 + ord("0")).astype(np.uint8)
+_leading = _group < _place
+_trailing = _group % (10 * _place) == 0
+_GROUP_TEXT = np.concatenate([
+    np.where(blank, 0, _ascii).view("<u4")[:, 0]
+    for blank in (False, _leading, _leading & (np.arange(4) < 3), _trailing)
+])
+del _group, _place, _ascii, _leading, _trailing
+
+# Scientific notation in range: e = -6 and e = -5.
+_EXPONENT_TEXT = np.frombuffer(b"e-06e-05", dtype="<u4")
+
+# One value's text in _FORMAT_WIDTH bytes: sign (byte 0), 16 integer
+# digits (words 1-4), point (byte 20), 20 fraction digits (words 6-10),
+# exponent (word 11).  Unused bytes hold NUL.
+_FORMAT_WIDTH = 48
+
+
+def _quads(n, count):
+    """The count 4-digit groups of n, most significant first."""
+    quads = []
+    for _ in range(count):
+        top = n // 10**4
+        quads.append(n - top * 10**4)
+        n = top
+    return quads[::-1]
+
+
+def _format_17g(x) -> np.ndarray:
+    """'%.17g' % v of each value of x, as an (x.size, 48) uint8 array
+    whose non-NUL bytes, in order, spell the text.
+
+    ±0 and 1e-6 < |v| < 1e16 take the array route; every other value
+    (subnormal, tiny, huge, nan, inf) is formatted by Python.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    a = np.abs(x)
+    inner = (a > 1e-6) & (a < 1e16)
+    e, digits = _decimal_17(np.where(inner, a, 1.0))
+    digits[a == 0.0] = 0  # prints "0", or "-0" with the sign
+    e_fixed = np.where(e < -4, 0, e)  # scientific lays out d.ddd like e = 0
+    # The integer part, and the fraction left-aligned in 20 digits as
+    # 8 + 12 digits so that each part stays below 2^63.
+    unit = _INT10[np.minimum(16 - e_fixed, 17)]
+    integer = digits // unit
+    rest = digits - integer * unit
+    shift = 4 + e_fixed  # the 20-digit fraction is rest·10^shift
+    head_unit = _INT10[np.clip(12 - shift, 0, 12)]
+    head = rest // head_unit
+    tail = (rest - head * head_unit) * _INT10[np.minimum(shift, 12)]
+    head *= _INT10[np.clip(shift - 12, 0, 7)]
+
+    text = np.zeros((x.size, _FORMAT_WIDTH), dtype=np.uint8)
+    words = text.view("<u4")
+    blank = np.ones(x.size, dtype=bool)  # no digit yet: leading zeros
+    for k, quad in enumerate(_quads(integer, 4)):
+        words[:, 1 + k] = _GROUP_TEXT[quad + blank * (_UNITS if k == 3 else _LEAD)]
+        blank &= quad == 0
+    blank[:] = True  # no digit after: trailing zeros
+    for k, quad in reversed(list(enumerate(_quads(head, 2) + _quads(tail, 3)))):
+        words[:, 6 + k] = _GROUP_TEXT[quad + blank * _TRAIL]
+        blank &= quad == 0
+    text[:, 20] = np.where(blank, 0, ord("."))
+    scientific = np.flatnonzero(e < -4)
+    words[scientific, 11] = _EXPONENT_TEXT[e[scientific] + 6]
+    text[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    other = np.flatnonzero(~inner & (a != 0.0))
+    if other.size:
+        text[other] = np.array(
+            [("%.17g" % v).encode("ascii") for v in x[other].tolist()],
+            dtype=f"S{_FORMAT_WIDTH}",
+        ).view(np.uint8).reshape(-1, _FORMAT_WIDTH)
+    return text
+
+
+def _text_columns(values) -> np.ndarray:
+    """format_float of each value as the rows of a NUL-padded uint8 array."""
+    text = np.array([format_float(v).encode("ascii") for v in values.tolist()])
+    return text.view(np.uint8).reshape(len(values), -1)
+
+
+# Fields per block of the spectrum writer, so its buffers stay
+# independent of the grid size.
+_WRITE_BLOCK = 32
 
 
 def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
     """Spectrum map as CSV, rows ordered by (h_oe, omega) ascending.
 
-    Each field and frequency is formatted once; every field then fills
-    one row template with its real and imaginary parts.
+    Each field and frequency is formatted once, every s21 part by
+    _format_17g.  Rows are built _WRITE_BLOCK fields at a time as
+    fixed-width bytes padded with NUL, which is dropped before each write.
     """
-    row_tails = [f",{format_float(w)},%.17g,%.17g" for w in spectrum.freqs]
-    parts = np.stack((spectrum.values.real, spectrum.values.imag), axis=-1)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(SPECTRUM_HEADER + "\n")
-        for h, row in zip(spectrum.fields, parts.reshape(spectrum.fields.size, -1)):
-            head = format_float(h)
-            template = head + ("\n" + head).join(row_tails) + "\n"
-            handle.write(template % tuple(row.tolist()))
+    heads = _text_columns(spectrum.fields)
+    freqs = _text_columns(spectrum.freqs)
+    # Columns: field, comma, frequency, comma, real part, comma, imaginary part, newline.
+    widths = [heads.shape[1], 1, freqs.shape[1], 1, _FORMAT_WIDTH, 1, _FORMAT_WIDTH, 1]
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    head, freq, real, imag = (slice(a, b) for a, b in zip(starts[::2], ends[::2]))
+    with open(path, "wb") as handle:
+        handle.write((SPECTRUM_HEADER + "\n").encode("ascii"))
+        for start in range(0, spectrum.fields.size, _WRITE_BLOCK):
+            values = spectrum.values[start:start + _WRITE_BLOCK]
+            rows = np.zeros(values.shape + (ends[-1],), dtype=np.uint8)
+            rows[..., head] = heads[start:start + _WRITE_BLOCK, None]
+            rows[..., freq] = freqs
+            rows[..., real] = _format_17g(values.real).reshape(values.shape + (-1,))
+            rows[..., imag] = _format_17g(values.imag).reshape(values.shape + (-1,))
+            rows[..., ends[1::2] - 1] = np.frombuffer(b",,,\n", dtype=np.uint8)
+            handle.write(rows.tobytes().translate(None, b"\0"))
 
 
 # The array reader takes only the exact header line followed by lines

@@ -22,6 +22,7 @@ from .core import (
     _assemble_hamiltonian,
     _transmission,
     field_for_frequency,
+    format_float,
     kittel_frequency,
     kittel_slope,
     sort_eigenvalues,
@@ -226,7 +227,7 @@ def instantiate(template: SystemTemplate, h: float) -> HybridSystem:
     for m in template.magnons:
         by_label[m.label] = ModeSpec(
             label=m.label,
-            omega=kittel_frequency(m.material, h),
+            omega=kittel_frequency(m.material, h, m.label),
             alpha=m.alpha,
             beta=m.beta,
         )
@@ -252,7 +253,7 @@ def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
     order = template.mode_order()
     for m in template.magnons:
         k = order.index(m.label)
-        hams[:, k, k] = kittel_frequency(m.material, fields) - 1j * (m.alpha + m.beta)
+        hams[:, k, k] = kittel_frequency(m.material, fields, m.label) - 1j * (m.alpha + m.beta)
     return hams
 
 
@@ -289,8 +290,8 @@ def _guarded_transmission(hams, weights, fields, freqs):
     if bad.size:
         i, j = bad[0]
         raise SingularResponse(
-            f"response matrix numerically singular at h={fields[i]!r}, "
-            f"omega={freqs[j]!r} (estimated condition number {cond[i, j]:.3e})"
+            f"response matrix numerically singular at h={format_float(fields[i])}, "
+            f"omega={format_float(freqs[j])} (estimated condition number {cond[i, j]:.3e})"
         )
     return values, x
 
@@ -329,7 +330,7 @@ def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
             try:
                 np.linalg.eigvals(ham)
             except np.linalg.LinAlgError as exc:
-                raise EigenFailure(f"eigenvalue iteration failed at h={h!r}") from exc
+                raise EigenFailure(f"eigenvalue iteration failed at h={format_float(h)}") from exc
         raise EigenFailure("eigenvalue iteration failed")  # pragma: no cover
     sorted_rows = np.stack([sort_eigenvalues(row) for row in values])
     return BranchCurves(fields, sorted_rows)

@@ -70,6 +70,21 @@ def test_kittel_unknown_material(small_config, capsys):
     assert "'iron'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["kittel", "map", "branches"])
+def test_kittel_overflow_exits_2_naming_magnon_and_field(tmp_path, capsys, command):
+    # omega = gamma sqrt(h (h + four_pi_m)) overflows from the first field on
+    doc = small_doc(field_grid={"start": 200.0, "stop": 1200.0, "count": 21})
+    doc["modes"][1]["material"]["four_pi_m"] = 1e308
+    config = tmp_path / "overflow.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: magnon 'yig': Kittel frequency overflows at h=200\n"
+    assert captured.out == "" and not out.exists()
+
+
 # ── map / branches ─────────────────────────────────────────────────────
 
 

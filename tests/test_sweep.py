@@ -13,9 +13,12 @@ from cavmag.core import (
     ModeSpec,
     _assemble_hamiltonian,
     eigenbranches,
+    format_float,
+    kittel_frequency,
     s21,
 )
 from cavmag.errors import (
+    EigenFailure,
     InvalidSystem,
     NegativeCoupling,
     NegativeField,
@@ -125,8 +128,6 @@ def test_instantiate_mode_order_and_kittel():
     template = two_magnon_template()
     system = instantiate(template, 1000.0)
     assert [m.label for m in system.modes] == ["py", "cpw", "yig"]
-    from cavmag.core import kittel_frequency
-
     assert system.modes[0].omega == kittel_frequency(PERMALLOY, 1000.0)
     assert system.modes[1].omega == 29.2
     assert system.modes[2].omega == kittel_frequency(YIG, 1000.0)
@@ -232,8 +233,8 @@ def unscreened_guard(template, fields, freqs):
     if not np.any(bad):
         return None
     i, j = np.argwhere(bad)[0]
-    return (f"response matrix numerically singular at h={fields[i]!r}, omega={freqs[j]!r} "
-            f"(estimated condition number {cond[i, j]:.3e})")
+    return (f"response matrix numerically singular at h={format_float(fields[i])}, "
+            f"omega={format_float(freqs[j])} (estimated condition number {cond[i, j]:.3e})")
 
 
 def guard_outcome(template, fields, freqs):
@@ -297,7 +298,7 @@ def test_screened_guard_reports_first_point_across_field_blocks():
     eigen = compute_branches(template, fields[k : k + 1]).branches.real[0]
     freqs = np.concatenate([np.linspace(27.0, 28.0, 5), np.sort(eigen), [31.5]])
     expected = unscreened_guard(template, fields, freqs)
-    assert expected is not None and f"h={fields[k]!r}" in expected
+    assert expected is not None and f"h={format_float(fields[k])}," in expected
     assert guard_outcome(template, fields, freqs) == expected
     # with damping the same grid clears, and the map is still computed block by block
     damped = lossy_pair(1e-10)
@@ -322,6 +323,44 @@ def test_map_grid_validation():
         compute_map(template, [900.0, 1000.0], [])
 
 
+def test_singular_message_prints_plain_floats():
+    # a lossless resonator probed at its own frequency
+    template = SystemTemplate(resonator=ModeSpec("cpw", 27.2, 0.0, 0.0), magnons=(), couplings={})
+    with pytest.raises(SingularResponse) as info:
+        compute_map(template, np.array([200.0, 300.0]), np.array([27.0, 27.2]))
+    assert str(info.value).startswith(
+        "response matrix numerically singular at h=200, omega=27.199999999999999 (")
+
+
+def test_eigen_failure_message_prints_plain_floats(monkeypatch):
+    def failing_eigvals(matrices):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    with pytest.raises(EigenFailure) as info:
+        compute_branches(two_magnon_template(), np.array([200.0, 300.0]))
+    assert str(info.value) == "eigenvalue iteration failed at h=200"
+
+
+def test_kittel_overflow_names_magnon_and_field():
+    huge = KittelMaterial(gamma=1.76e-2, four_pi_m=1e308)
+    template = SystemTemplate(
+        resonator=ModeSpec("cpw", 29.2, 0.01, 0.02),
+        magnons=(TemplateMagnon("yig", 0.005, 0.004, huge),),
+        couplings={("cpw", "yig"): 0.25},
+    )
+    message = "magnon 'yig': Kittel frequency overflows at h=200"
+    for build in (lambda: hamiltonians(template, [0.0, 1.0, 200.0, 300.0]),
+                  lambda: instantiate(template, 200.0)):
+        with pytest.raises(InvalidSystem) as info:
+            build()
+        assert str(info.value) == message
+    with pytest.raises(InvalidSystem) as info:
+        kittel_frequency(huge, 200.0)
+    assert str(info.value) == "Kittel frequency overflows at h=200"
+    assert kittel_frequency(huge, 1.0) > 0.0
+
+
 def test_branches_match_single_system_eigenvalues():
     template = two_magnon_template()
     fields = np.linspace(600.0, 1400.0, 9)
@@ -337,8 +376,6 @@ def test_decoupled_branches_follow_bare_dispersions():
         magnons=(TemplateMagnon("yig", 0.0, 0.0, YIG),),
         couplings={("cpw", "yig"): 0.0},
     )
-    from cavmag.core import kittel_frequency
-
     fields = np.linspace(700.0, 1300.0, 21)
     curves = compute_branches(template, fields)
     for h, row in zip(curves.fields, curves.branches):
