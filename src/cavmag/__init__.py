@@ -24,7 +24,6 @@ from .errors import (
     DegenerateData,
     DegenerateProblem,
     EigenFailure,
-    EmptyMap,
     InvalidSystem,
     NegativeCoupling,
     NegativeField,
@@ -65,8 +64,6 @@ from .synth import (
     NoiseSpec,
     PassivityReport,
     passivity_check,
-    s21_cramer_oracle,
-    s21_sum_oracle,
     synth_map,
 )
 
@@ -75,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnticrossingReport", "BranchCurves", "CavmagError", "ConfigError",
     "DataFormatError", "DegenerateData", "DegenerateProblem", "EigenFailure",
-    "EmptyMap", "FitProblem", "FitResult", "FreeParameter", "HybridSystem",
+    "FitProblem", "FitResult", "FreeParameter", "HybridSystem",
     "InvalidSystem", "KittelMaterial", "LinearFit", "ModeSpec",
     "NegativeCoupling", "NegativeField", "NegativeFrequency", "NoMinimum",
     "NoiseSpec", "PERMALLOY", "PassivityReport", "RidgeSet", "SingularResponse",
@@ -86,6 +83,5 @@ __all__ = [
     "extract_ridges", "field_for_frequency", "fit_branches", "fit_map",
     "gap_at_crossing", "instantiate", "kittel_frequency", "kittel_slope",
     "lambda_to_beta", "linear_regression", "passivity_check", "s21",
-    "s21_cramer_oracle", "s21_sum_oracle", "stripline_vector", "synth_map",
-    "thickness_sweep",
+    "stripline_vector", "synth_map", "thickness_sweep",
 ]

@@ -3,8 +3,8 @@
 Subcommands: kittel, map, branches, fit, thickness, synth.  Exit codes:
 0 success, 2 configuration or model error, 3 file I/O error, 4 fit did
 not converge, 5 malformed data file.  Output files always store model
-units; --freq-scale (or the config display_scale) only rescales
-frequencies printed to the terminal.
+units; kittel's --freq-scale (or the config display_scale) only
+rescales frequencies printed to the terminal.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .fitting import (
     fit_branches,
     fit_map,
     linear_regression,
+    split_parameter_name,
 )
 from .sweep import compute_branches, compute_map, crossing_window, gap_at_crossing, thickness_sweep
 from .synth import NoiseSpec, synth_map
@@ -50,7 +51,7 @@ def _parse_fields_list(text: str) -> list[float]:
 
 
 def _display_scale(config: RunConfig, args) -> float:
-    if getattr(args, "freq_scale", None) is not None:
+    if args.freq_scale is not None:
         if not args.freq_scale > 0:
             raise ConfigError(f"--freq-scale must be > 0, got {args.freq_scale}")
         return args.freq_scale
@@ -135,7 +136,7 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet 
         if "initial" in entry:
             initial = float(entry["initial"])
         else:
-            if ridges is None and name.startswith("g:"):
+            if ridges is None and split_parameter_name(name)[0] == "g":
                 ridges = extract_ridges(data, n_ridges, min_separation)
             initial = float(np.clip(_default_initial(name, template, data, ridges), lower, upper))
         free.append(FreeParameter(name=name, lower=lower, upper=upper, initial=initial))
@@ -152,17 +153,15 @@ def _default_initial(name, template, data, ridges) -> float:
     relevant crossing; dampings from the strongest-ridge width split
     half intrinsic, half extrinsic; everything else from the template.
     """
-    parts = name.split(":")
-    kind = parts[0]
+    kind, labels = split_parameter_name(name)
     if kind == "g":
-        magnon = parts[1] if parts[2] == template.resonator.label else parts[2]
+        magnon = labels[0] if labels[1] == template.resonator.label else labels[1]
         return coupling_guess_from_ridges(ridges, crossing_window(template, magnon))
     if kind in ("alpha", "beta"):
         return damping_guess_from_column(data) / 2.0
-    label = parts[1]
     if kind == "omega":
         return template.resonator.omega
-    material = template.magnon(label).material
+    material = template.magnon(labels[0]).material
     return material.gamma if kind == "gamma" else material.four_pi_m
 
 
@@ -269,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub, out_required=False, heatmap=False, seed=False):
         sub.add_argument("--config", required=True, help="run configuration (JSON)")
         sub.add_argument("--out", required=out_required, help="output file path")
-        sub.add_argument("--freq-scale", type=float, default=None,
-                         help="display scale for frequencies printed to the terminal")
         if heatmap:
             sub.add_argument("--heatmap", action="store_true",
                              help="also write a PGM heatmap next to --out")
@@ -280,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kittel = subparsers.add_parser("kittel", help="tabulate the field dispersion")
     common(p_kittel)
+    p_kittel.add_argument("--freq-scale", type=float, default=None,
+                          help="display scale for frequencies printed to the terminal")
     p_kittel.add_argument("--material", default=None, help="restrict to one field-driven mode")
     p_kittel.add_argument("--fields", default=None,
                           help="comma-separated fields in Oe (default: the config field grid)")

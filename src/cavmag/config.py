@@ -56,15 +56,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class ModeConfig:
-    label: str
-    alpha: float
-    beta: float
-    omega: float | None  # fixed-frequency mode (the resonator)
-    material: KittelMaterial | None  # field-driven mode (a magnon)
-
-
-@dataclass(frozen=True)
 class FitConfig:
     method: str  # "map" or "branches"
     free: tuple[dict, ...]  # raw parameter entries, resolved by the CLI
@@ -85,7 +76,7 @@ class ThicknessConfig:
 @dataclass(frozen=True)
 class RunConfig:
     version: int
-    modes: tuple[ModeConfig, ...]
+    modes: tuple[ModeSpec | TemplateMagnon, ...]  # in file order
     couplings: tuple[tuple[str, str, float], ...]
     field_grid: GridSpec
     freq_grid: GridSpec
@@ -95,27 +86,21 @@ class RunConfig:
     display_scale: float
 
     def template(self) -> SystemTemplate:
-        """Sweepable template: one resonator, the rest magnons."""
-        resonator = None
-        magnons: list[TemplateMagnon] = []
-        for mode in self.modes:
-            if mode.omega is not None:
-                resonator = ModeSpec(label=mode.label, omega=mode.omega,
-                                     alpha=mode.alpha, beta=mode.beta)
-            else:
-                magnons.append(TemplateMagnon(label=mode.label, alpha=mode.alpha,
-                                              beta=mode.beta, material=mode.material))
+        """Sweepable template: the resonator (the one ModeSpec), the rest magnons."""
+        resonator = next(m for m in self.modes if isinstance(m, ModeSpec))
+        magnons = tuple(m for m in self.modes if isinstance(m, TemplateMagnon))
         couplings = {(a, b): g for a, b, g in self.couplings}
-        return SystemTemplate(resonator=resonator, magnons=tuple(magnons), couplings=couplings)
+        return SystemTemplate(resonator=resonator, magnons=magnons, couplings=couplings)
 
     def material_modes(self) -> dict[str, KittelMaterial]:
-        return {m.label: m.material for m in self.modes if m.material is not None}
+        return {m.label: m.material for m in self.modes if isinstance(m, TemplateMagnon)}
 
 
 # ── Parsing ────────────────────────────────────────────────────────────
 
 
-def _parse_mode(entry: dict, context: str) -> ModeConfig:
+def _parse_mode(entry: dict, context: str) -> ModeSpec | TemplateMagnon:
+    """The resonator as a ModeSpec, a magnon as a TemplateMagnon."""
     _expect_keys(entry, context, ("label", "alpha"), ("beta", "lambda", "omega", "material"))
     label = entry["label"]
     if not isinstance(label, str) or not label:
@@ -128,16 +113,13 @@ def _parse_mode(entry: dict, context: str) -> ModeConfig:
     has_omega, has_material = "omega" in entry, "material" in entry
     if has_omega == has_material:
         raise ConfigError(f"{context}: give exactly one of 'omega' or 'material'")
-    omega = None
-    material = None
     if has_omega:
-        omega = _number(entry, context, "omega")
-    else:
-        raw = entry["material"]
-        _expect_keys(raw, f"{context}.material", ("gamma", "four_pi_m"))
-        material = KittelMaterial(gamma=_number(raw, f"{context}.material", "gamma"),
-                                  four_pi_m=_number(raw, f"{context}.material", "four_pi_m"))
-    return ModeConfig(label=label, alpha=alpha, beta=beta, omega=omega, material=material)
+        return ModeSpec(label=label, omega=_number(entry, context, "omega"), alpha=alpha, beta=beta)
+    raw = entry["material"]
+    _expect_keys(raw, f"{context}.material", ("gamma", "four_pi_m"))
+    material = KittelMaterial(gamma=_number(raw, f"{context}.material", "gamma"),
+                              four_pi_m=_number(raw, f"{context}.material", "four_pi_m"))
+    return TemplateMagnon(label=label, alpha=alpha, beta=beta, material=material)
 
 
 def _parse_grid(entry: dict, context: str) -> GridSpec:
@@ -241,7 +223,7 @@ def parse_config(document: str) -> RunConfig:
     labels = {m.label for m in modes}
     if len(labels) != len(modes):
         raise ConfigError("config: mode labels must be unique")
-    fixed = [m for m in modes if m.omega is not None]
+    fixed = [m for m in modes if isinstance(m, ModeSpec)]
     if len(fixed) != 1:
         raise ConfigError(f"config: exactly one fixed-frequency mode required, got {len(fixed)}")
     raw_couplings = raw["couplings"]
@@ -309,7 +291,7 @@ def config_to_dict(config: RunConfig) -> dict:
     }
     for mode in config.modes:
         entry: dict = {"label": mode.label, "alpha": mode.alpha, "beta": mode.beta}
-        if mode.omega is not None:
+        if isinstance(mode, ModeSpec):
             entry["omega"] = mode.omega
         else:
             entry["material"] = {"gamma": mode.material.gamma, "four_pi_m": mode.material.four_pi_m}
@@ -341,8 +323,3 @@ def config_to_dict(config: RunConfig) -> dict:
 def dump_config(config: RunConfig) -> str:
     """Canonical JSON text (sorted keys, two-space indent, newline end)."""
     return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(dump_config(config))

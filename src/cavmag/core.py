@@ -184,19 +184,28 @@ def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
     return float(out) if h_arr.ndim == 0 else out
 
 
-def field_for_frequency(material: KittelMaterial, omega):
+def field_for_frequency(material: KittelMaterial, omega, label: str | None = None):
     """Applied field (Oe) at which the Kittel branch hits omega.
 
     Inverts the dispersion through the rationalized positive root
     h = 2 (omega/gamma)^2 / (4piM + sqrt((4piM)^2 + 4 (omega/gamma)^2)),
-    which avoids cancellation for small omega.
+    which avoids cancellation for small omega.  A root that overflows
+    raises InvalidSystem naming the frequency, and the magnon when its
+    label is given.
     """
     w_arr = np.asarray(omega, dtype=float)
     if np.any(w_arr < 0.0) or not np.all(np.isfinite(w_arr)):
         raise NegativeFrequency(f"target frequency must be finite and >= 0, got {omega!r}")
     m4 = material.four_pi_m
-    x = (w_arr / material.gamma) ** 2
-    out = 2.0 * x / (m4 + np.sqrt(m4 * m4 + 4.0 * x))
+    with np.errstate(over="ignore"):
+        x = (w_arr / material.gamma) ** 2
+        root = np.sqrt(m4 * m4 + 4.0 * x)
+    overflow = ~np.isfinite(root)
+    if np.any(overflow):
+        magnon = "" if label is None else f"magnon {label!r}: "
+        raise InvalidSystem(f"{magnon}Kittel field overflows at "
+                            f"omega={format_float(w_arr[overflow][0])}")
+    out = 2.0 * x / (m4 + root)
     return float(out) if w_arr.ndim == 0 else out
 
 
@@ -232,23 +241,17 @@ def stripline_vector(system: HybridSystem) -> np.ndarray:
 # ── Coupling matrix, transmission, eigenbranches ───────────────────────
 
 
-def _check_system(system: HybridSystem) -> None:
-    """Revalidate numeric fields (guards against unchecked mutation)."""
-    for m in system.modes:
-        for name in ("omega", "alpha", "beta"):
-            value = getattr(m, name)
-            if not math.isfinite(value):
-                raise InvalidSystem(f"mode {m.label!r}: {name} is not finite")
-            if value < 0:
-                raise InvalidSystem(f"mode {m.label!r}: {name} is negative")
-    for pair, g in system.couplings.items():
-        if not math.isfinite(g):
-            raise InvalidSystem(f"coupling {pair} is not finite")
+def build_coupling_hamiltonian(system: HybridSystem) -> np.ndarray:
+    """Effective non-Hermitian coupling matrix of the hybrid system.
 
-
-def _assemble_hamiltonian(system: HybridSystem) -> np.ndarray:
-    # Raw assembly without validation; passivity diagnostics rely on this
-    # to report on deliberately broken systems instead of raising.
+    Diagonal entries are omega_j - i (alpha_j + beta_j); off-diagonal
+    entries combine the coherent coupling with the dissipative stripline
+    cross-term, g(j, k) - i sqrt(beta_j beta_k).  The result is complex
+    symmetric (equal to its own transpose), not Hermitian.  ModeSpec and
+    HybridSystem validate on construction, so nothing is checked here:
+    passivity diagnostics rely on this to report on deliberately broken
+    systems instead of raising.
+    """
     n = system.n
     omega = np.array([m.omega for m in system.modes], dtype=float)
     alpha = np.array([m.alpha for m in system.modes], dtype=float)
@@ -261,18 +264,6 @@ def _assemble_hamiltonian(system: HybridSystem) -> np.ndarray:
     # the diagonal must be exactly alpha + beta, not sqrt(beta**2) + alpha
     np.fill_diagonal(loss, alpha + beta)
     return np.diag(omega) + g - 1j * loss
-
-
-def build_coupling_hamiltonian(system: HybridSystem) -> np.ndarray:
-    """Effective non-Hermitian coupling matrix of the hybrid system.
-
-    Diagonal entries are omega_j - i (alpha_j + beta_j); off-diagonal
-    entries combine the coherent coupling with the dissipative stripline
-    cross-term, g(j, k) - i sqrt(beta_j beta_k).  The result is complex
-    symmetric (equal to its own transpose), not Hermitian.
-    """
-    _check_system(system)
-    return _assemble_hamiltonian(system)
 
 
 def _sum_abs_sq(entries, grid: tuple[int, int]) -> np.ndarray:
@@ -373,9 +364,8 @@ def s21(system: HybridSystem, omega: float) -> complex:
     """
     if not isinstance(omega, (int, float)) or not math.isfinite(omega):
         raise InvalidSystem(f"probe frequency must be a finite real, got {omega!r}")
-    _check_system(system)
     omega = float(omega)
-    ham = _assemble_hamiltonian(system)
+    ham = build_coupling_hamiltonian(system)
     values, cond, _ = _transmission(ham[None], stripline_vector(system), np.array([omega]))
     if cond[0, 0] > SINGULAR_COND_LIMIT:
         raise SingularResponse(

@@ -346,44 +346,6 @@ def write_branches_csv(path, curves: BranchCurves) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def read_branches_csv(path) -> BranchCurves:
-    """Parse a branch CSV back into curves.
-
-    Malformed rows, non-finite values included, raise DataFormatError
-    carrying the offending line number.
-    """
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != BRANCH_HEADER:
-        raise DataFormatError(f"expected header {BRANCH_HEADER!r}", line=1)
-    per_field: dict[float, dict[int, complex]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise DataFormatError(f"expected 4 columns, got {len(parts)}", line=lineno)
-        try:
-            h = float(parts[0])
-            k = int(parts[1])
-            value = complex(float(parts[2]), float(parts[3]))
-        except ValueError:
-            raise DataFormatError(f"unparseable row {line!r}", line=lineno) from None
-        if not (math.isfinite(h) and math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DataFormatError(f"non-finite value in {line!r}", line=lineno)
-        per_field.setdefault(h, {})[k] = value
-    if not per_field:
-        raise DataFormatError("no data rows", line=2)
-    fields = sorted(per_field)
-    n_branches = max(len(v) for v in per_field.values())
-    branches = np.empty((len(fields), n_branches), dtype=complex)
-    for i, h in enumerate(fields):
-        row = per_field[h]
-        if len(row) != n_branches or sorted(row) != list(range(n_branches)):
-            raise DataFormatError(f"incomplete branch set at h_oe={format_float(h)}",
-                                  line=len(lines))
-        for k, value in row.items():
-            branches[i, k] = value
-    return BranchCurves(np.array(fields), branches)
-
-
 def write_thickness_csv(path, rows) -> None:
     """Thickness series as CSV: (t_um, g1, g2, gap_p1, gap_p2) per row."""
     lines = [THICKNESS_HEADER]

@@ -41,10 +41,6 @@ class NegativeCoupling(CavmagError):
     """A thickness model produced a coupling below zero."""
 
 
-class EmptyMap(CavmagError):
-    """A spectrum map holds no usable points."""
-
-
 class DegenerateProblem(CavmagError):
     """Fewer data points than the fit needs."""
 

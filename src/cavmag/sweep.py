@@ -19,8 +19,8 @@ from .core import (
     HybridSystem,
     KittelMaterial,
     ModeSpec,
-    _assemble_hamiltonian,
     _transmission,
+    build_coupling_hamiltonian,
     field_for_frequency,
     format_float,
     kittel_frequency,
@@ -242,13 +242,13 @@ def instantiate(template: SystemTemplate, h: float) -> HybridSystem:
 def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
     """Coupling matrices over a field sweep, stacked to shape (len(fields), n, n).
 
-    Row k equals _assemble_hamiltonian(instantiate(template, fields[k]))
+    Row k equals build_coupling_hamiltonian(instantiate(template, fields[k]))
     bit for bit.  The zero-field matrix supplies every field-independent
     entry; only each magnon's diagonal slot, its Kittel frequency minus
     i (alpha + beta), is written per field.
     """
     fields = np.asarray(fields, dtype=float)
-    base = _assemble_hamiltonian(instantiate(template, 0.0))
+    base = build_coupling_hamiltonian(instantiate(template, 0.0))
     hams = np.repeat(base[None], fields.size, axis=0)
     order = template.mode_order()
     for m in template.magnons:
@@ -307,15 +307,13 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     only pre-screens: the SVD runs wherever that bound comes within 10x
     of the limit.
     """
-    fields = _check_axis("fields", fields)
-    freqs = _check_axis("freqs", freqs)
-    values = np.empty((fields.size, freqs.size), dtype=complex)
+    spectrum = SpectrumMap(fields, freqs, np.empty((np.size(fields), np.size(freqs)), complex))
 
     def store(block, block_values, _x):
-        values[block] = block_values
+        spectrum.values[block] = block_values
 
-    _each_block(template, fields, freqs, store)
-    return SpectrumMap(fields, freqs, values)
+    _each_block(template, spectrum.fields, spectrum.freqs, store)
+    return spectrum
 
 
 def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
@@ -406,7 +404,7 @@ def anticrossing_gap(curves: BranchCurves, window: tuple[float, float]) -> Antic
 def crossing_field(template: SystemTemplate, label: str) -> float:
     """Field at which a magnon's Kittel branch meets the bare resonator."""
     magnon = template.magnon(label)
-    return field_for_frequency(magnon.material, template.resonator.omega)
+    return field_for_frequency(magnon.material, template.resonator.omega, label)
 
 
 def crossing_window(
@@ -447,7 +445,7 @@ def thickness_sweep(
     crosslink_slope: float,
     crosslink_intercept: float,
     thicknesses,
-    varied_label: str | None = None,
+    varied_label: str,
     linked_label: str | None = None,
 ) -> list[tuple[float, SystemTemplate]]:
     """Templates for a film-thickness series.
@@ -455,18 +453,10 @@ def thickness_sweep(
     The varied magnon's resonator coupling follows the thickness law
     g2 = yig_coupling.evaluate(t); the linked magnon's coupling follows
     the crosslink g1 = crosslink_slope * g2 + crosslink_intercept.  With
-    no linked magnon the crosslink is ignored.  Defaults: for two
-    magnons the second is varied and the first linked; for one magnon it
-    is varied and nothing is linked.
+    no linked magnon (linked_label None) the crosslink is ignored and
+    every other coupling keeps its template value.
     """
-    if varied_label is None:
-        if not base.magnons:
-            raise InvalidSystem("template has no magnon to vary")
-        varied_label = base.magnons[-1].label
     base.magnon(varied_label)  # existence check
-    if linked_label is None and len(base.magnons) >= 2:
-        candidates = [m.label for m in base.magnons if m.label != varied_label]
-        linked_label = candidates[0]
     if linked_label is not None:
         base.magnon(linked_label)
         if linked_label == varied_label:

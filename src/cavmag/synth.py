@@ -24,9 +24,8 @@ import numpy as np
 from .core import (
     SINGULAR_COND_LIMIT,
     HybridSystem,
-    _assemble_hamiltonian,
-    _check_system,
     _transmission,
+    build_coupling_hamiltonian,
     stripline_vector,
 )
 from .errors import InvalidSystem, SingularResponse
@@ -77,7 +76,6 @@ def s21_sum_oracle(system: HybridSystem, omega: float) -> complex:
     parameters, solves the set by partial-pivot elimination, and sums
     (2 / i) sqrt(beta_j) amplitude_j for unit drive.
     """
-    _check_system(system)
     n = system.n
     matrix: list[list[complex]] = [[0j] * n for _ in range(n)]
     rhs: list[complex] = [0j] * n
@@ -102,7 +100,6 @@ def s21_cramer_oracle(system: HybridSystem, omega: float) -> complex:
     """
     if system.n != 3:
         raise InvalidSystem(f"adjugate oracle is three-mode only, got n={system.n}")
-    _check_system(system)
     modes = system.modes
     m = [[0j] * 3 for _ in range(3)]
     for j in range(3):
@@ -198,7 +195,7 @@ def passivity_check(system: HybridSystem, omegas) -> PassivityReport:
     systems produce a report (flagged) instead of an error.
     """
     with np.errstate(invalid="ignore"):
-        ham = _assemble_hamiltonian(system)
+        ham = build_coupling_hamiltonian(system)
         weights = stripline_vector(system)
     try:
         eigenvalues = np.linalg.eigvals(ham)

@@ -8,7 +8,9 @@ import pytest
 
 from cavmag import cli
 from cavmag.cli import main
-from cavmag.dataio import read_spectrum_csv
+from cavmag.config import load_config
+from cavmag.dataio import format_float, read_spectrum_csv
+from cavmag.sweep import gap_at_crossing
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -259,6 +261,27 @@ def test_fit_parameter_label_count_exits_2(tmp_path, capsys, name):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_fit_crossing_field_overflow_exits_2_naming_magnon(tmp_path, capsys):
+    # (4 pi M)^2 overflows in the crossing field behind the default
+    # coupling guess; RuntimeWarnings fail the suite, so none may escape
+    data = tmp_path / "data.csv"
+    data_config = tmp_path / "data.config"
+    data_config.write_text(json.dumps(small_doc()), encoding="utf-8")
+    assert main(["map", "--config", str(data_config), "--out", str(data)]) == 0
+    doc = small_doc(fit={"method": "map",
+                         "free": [{"name": "g:cpw:yig", "lower": 0.05, "upper": 0.6}]})
+    doc["modes"][1]["material"]["four_pi_m"] = 1e308
+    config = tmp_path / "overflow.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: magnon 'yig': Kittel field overflows at "
+                            "omega=29.199999999999999\n")
+    assert captured.out == ""
+
+
 def test_fit_without_fit_block_exits_2(tmp_path, small_config, capsys):
     data = tmp_path / "data.csv"
     assert main(["map", "--config", str(small_config), "--out", str(data)]) == 0
@@ -293,6 +316,21 @@ def test_thickness_single_row_and_maps_dir(tmp_path, capsys):
     assert (maps_dir / "map_t20.csv").exists()
     # trend fits need two rows, so a one-point series prints none
     assert "g2_of_t" not in capsys.readouterr().out
+
+
+def test_thickness_without_linked_magnon_varies_only_the_named_one(tmp_path):
+    doc = json.loads((CONFIG_DIR / "thickness.config").read_text(encoding="utf-8"))
+    del doc["thickness"]["linked"]
+    doc["thickness"]["thicknesses"] = [5.0]
+    config = tmp_path / "unlinked.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "thickness.csv"
+    assert main(["thickness", "--config", str(config), "--out", str(out)]) == 0
+    t, g1, g2, gap_p1, gap_p2 = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert (t, g1, g2, gap_p1) == ("5", "0", "0.11", "0")
+    # py keeps its config coupling while yig's follows the thickness law
+    template = load_config(config).template().with_coupling("yig", "cpw", 0.11)
+    assert gap_p2 == format_float(gap_at_crossing(template, "yig").gap)
 
 
 # ── exit codes ─────────────────────────────────────────────────────────

@@ -13,7 +13,6 @@ from cavmag.config import (
     dump_config,
     load_config,
     parse_config,
-    save_config,
 )
 from cavmag.errors import ConfigError
 
@@ -88,8 +87,8 @@ def test_write_read_write_is_byte_identical(tmp_path):
     config = parse(minimal_doc())
     first = tmp_path / "a.config"
     second = tmp_path / "b.config"
-    save_config(config, first)
-    save_config(load_config(first), second)
+    first.write_text(dump_config(config), encoding="utf-8")
+    second.write_text(dump_config(load_config(first)), encoding="utf-8")
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -124,6 +124,17 @@ def test_field_for_frequency_crossings():
         field_for_frequency(YIG, -0.1)
 
 
+@pytest.mark.parametrize("material, omega, label, shown", [
+    (KittelMaterial(gamma=1.76e-2, four_pi_m=1e308), 29.2, "yig", "29.199999999999999"),
+    (KittelMaterial(gamma=1e-300, four_pi_m=1750.0), np.array([1e-310, 2.0]), None, "2"),
+])
+def test_field_for_frequency_overflow_names_magnon_and_frequency(material, omega, label, shown):
+    # (4 pi M)^2 or (omega / gamma)^2 overflows; the root would read 0 or nan
+    magnon = "" if label is None else f"magnon {label!r}: "
+    with pytest.raises(InvalidSystem, match=f"^{magnon}Kittel field overflows at omega={shown}$"):
+        field_for_frequency(material, omega, label)
+
+
 def test_dispersion_round_trip():
     rng = np.random.default_rng(42)
     fields = rng.uniform(1e-3, 2e4, 200)

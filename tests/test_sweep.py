@@ -11,7 +11,7 @@ from cavmag.core import (
     YIG,
     KittelMaterial,
     ModeSpec,
-    _assemble_hamiltonian,
+    build_coupling_hamiltonian,
     eigenbranches,
     format_float,
     kittel_frequency,
@@ -199,7 +199,7 @@ def test_field_hamiltonians_match_instantiated_systems_bitwise(make):
     hams = hamiltonians(template, fields)
     assert hams.shape == (fields.size, len(template.magnons) + 1, len(template.magnons) + 1)
     for h, ham in zip(fields, hams):
-        assert ham.tobytes() == _assemble_hamiltonian(instantiate(template, h)).tobytes()
+        assert ham.tobytes() == build_coupling_hamiltonian(instantiate(template, h)).tobytes()
 
 
 @pytest.mark.parametrize("make", [one_magnon_template, three_magnon_template])
@@ -226,7 +226,7 @@ def test_sweep_names_first_negative_field():
 
 def unscreened_guard(template, fields, freqs):
     """SingularResponse message of the plain SVD guard over the whole grid, or None."""
-    hams = np.stack([_assemble_hamiltonian(instantiate(template, h)) for h in fields])
+    hams = np.stack([build_coupling_hamiltonian(instantiate(template, h)) for h in fields])
     eye = np.eye(hams.shape[-1])
     cond = np.linalg.cond(1j * (freqs[None, :, None, None] * eye - hams[:, None, :, :]))
     bad = ~np.isfinite(cond) | (cond > SINGULAR_COND_LIMIT)
@@ -281,7 +281,7 @@ def test_screened_guard_on_exactly_singular_block():
     )
     fields = np.linspace(1200.0, 1300.0, 4)
     freqs = np.array([28.0, 29.2, 30.0])
-    ham = _assemble_hamiltonian(instantiate(template, fields[0]))
+    ham = build_coupling_hamiltonian(instantiate(template, fields[0]))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(1j * (29.2 * np.eye(2) - ham))
     expected = unscreened_guard(template, fields, freqs)
@@ -474,23 +474,33 @@ def test_thickness_model_validation():
 def test_thickness_sweep_applies_both_laws():
     base = two_magnon_template()
     model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    series = thickness_sweep(base, model, 0.5, 0.1, (5.0, 40.0, 100.0))
+    series = thickness_sweep(base, model, 0.5, 0.1, (5.0, 40.0, 100.0),
+                             varied_label="yig", linked_label="py")
     assert [t for t, _ in series] == [5.0, 40.0, 100.0]
     for t, template in series:
         g2 = 0.002 * t + 0.1
-        assert template.coupling("yig", "cpw") == g2  # varied defaults to the last magnon
-        assert template.coupling("py", "cpw") == 0.5 * g2 + 0.1  # linked defaults to the other
+        assert template.coupling("yig", "cpw") == g2
+        assert template.coupling("py", "cpw") == 0.5 * g2 + 0.1
     # base is untouched
     assert base.coupling("yig", "cpw") == 0.21
+
+
+def test_thickness_sweep_links_only_the_named_magnon():
+    # without a linked label the other magnon keeps its template coupling
+    base = two_magnon_template()
+    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
+    (t, template), = thickness_sweep(base, model, 0.5, 0.1, (5.0,), varied_label="yig")
+    assert template.coupling("yig", "cpw") == 0.002 * 5.0 + 0.1
+    assert template.coupling("py", "cpw") == base.coupling("py", "cpw")
 
 
 def test_thickness_sweep_validation():
     base = two_magnon_template()
     model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
     with pytest.raises(InvalidSystem, match="outside model range"):
-        thickness_sweep(base, model, 0.5, 0.1, (200.0,))
+        thickness_sweep(base, model, 0.5, 0.1, (200.0,), varied_label="yig")
     with pytest.raises(NegativeCoupling, match="crosslink"):
-        thickness_sweep(base, model, -10.0, 0.0, (50.0,))
+        thickness_sweep(base, model, -10.0, 0.0, (50.0,), varied_label="yig", linked_label="py")
     with pytest.raises(InvalidSystem, match="differ"):
         thickness_sweep(base, model, 0.5, 0.1, (50.0,), varied_label="yig", linked_label="yig")
 
@@ -502,7 +512,7 @@ def test_thickness_sweep_single_magnon():
         couplings={("cpw", "yig"): 0.2},
     )
     model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    series = thickness_sweep(base, model, 0.5, 0.1, (20.0,))
+    series = thickness_sweep(base, model, 0.5, 0.1, (20.0,), varied_label="yig")
     (t, template), = series
     assert template.coupling("yig", "cpw") == 0.002 * 20.0 + 0.1
 
