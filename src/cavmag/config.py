@@ -36,11 +36,24 @@ def _expect_keys(obj: dict, context: str, required: tuple[str, ...], optional: t
         raise ConfigError(f"{context}: missing key(s) {', '.join(map(repr, missing))}")
 
 
+def _finite(value) -> float | None:
+    """A JSON number as a finite float, or None (booleans, other types,
+    non-finite values and integers too large for a float).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _number(obj: dict, context: str, key: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{context}: {key!r} must be a finite number, got {value!r}")
-    return float(value)
+    value = _finite(obj[key])
+    if value is None:
+        raise ConfigError(f"{context}: {key!r} must be a finite number, got {obj[key]!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,8 @@ def _parse_grid(entry: dict, context: str) -> GridSpec:
     count = entry["count"]
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ConfigError(f"{context}: 'count' must be an integer >= 1, got {count!r}")
+    if count > np.iinfo(np.intp).max:  # np.linspace could not size the grid
+        raise ConfigError(f"{context}: 'count' must be at most {np.iinfo(np.intp).max}, got {count!r}")
     if count == 1:
         if start != stop:
             raise ConfigError(f"{context}: a single-point grid needs start == stop")
@@ -182,15 +197,16 @@ def _parse_thickness(entry: dict, labels: set[str]) -> ThicknessConfig:
         raise ConfigError("thickness: 'thicknesses' must be a nonempty list")
     thicknesses = []
     for value in raw_t:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        number = _finite(value)
+        if number is None:
             raise ConfigError(f"thickness: bad thickness value {value!r}")
-        thicknesses.append(float(value))
+        thicknesses.append(number)
     crosslink = entry["crosslink"]
     _expect_keys(crosslink, "thickness.crosslink", ("slope", "intercept"))
     varied = entry["varied"]
     linked = entry.get("linked")
     for name in (varied, linked) if linked is not None else (varied,):
-        if name not in labels:
+        if not isinstance(name, str) or name not in labels:
             raise ConfigError(f"thickness: unknown mode label {name!r}")
     return ThicknessConfig(
         model=model,
@@ -206,7 +222,7 @@ def parse_config(document: str) -> RunConfig:
     """RunConfig from JSON text; every schema violation is a ConfigError."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"not valid JSON: {exc}") from None
     _expect_keys(raw, "config", ("version", "modes", "couplings", "field_grid", "freq_grid"),
                  ("noise", "fit", "thickness", "display_scale"))

@@ -4,7 +4,10 @@ All floats are written as '%.17g' text, so a write - read - write cycle
 is byte-identical and values survive exactly.  Files store model units
 only.  The spectrum writer computes the '%.17g' digits of its s21 values
 exactly with array arithmetic (_format_17g), so its bytes are those of
-'%.17g' % v for every value.
+'%.17g' % v for every value.  The spectrum reader inverts that kernel:
+plain files are parsed with array arithmetic whose every value is
+proven equal to float() of its token (_read_plain), all other files line
+by line (_read_spectrum_lines), with the same values and errors.
 """
 
 from __future__ import annotations
@@ -195,11 +198,305 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
             handle.write(rows.tobytes().translate(None, b"\0"))
 
 
-# The array reader takes only the exact header line followed by lines
-# over these bytes.  On them np.loadtxt and float() return the same
-# bits, and '\n' is the only line break either parser sees.
+# ── Exact array reader ───────────────────────────────────────────────
+#
+# A plain file is the exact header line followed by bytes from
+# _PLAIN_BYTES only; the array reader parses nothing else, so '\n' is
+# its only line break and every token is ASCII.  It reads _READ_CHUNK
+# bytes at a time and parses the complete lines of each read as arrays.
+#
+# An h_oe token whose text equals the previous row's, or an omega token
+# whose text equals the one at the same place in the first field block,
+# has that token's value; only the others go through float().  An s21
+# token [sign] digits [. digits] [e sign digit digit] with at most 7
+# integer and 24 fraction digits is read with 8-byte SWAR arithmetic
+# (Lemire, arXiv:2101.11408) into its integer significand M < 10^18, so
+# that its value is M·10^q.  A double-double quotient by the exact
+# 10^-q gives a candidate double c, kept only where _decimal_17(|c|)
+# spells the token's own digits: '%.17g' of a double reads back as that
+# double, so c is then float(token).  Every other token goes through
+# float().
+
 _HEADER_LINE = (SPECTRUM_HEADER + "\n").encode("ascii")
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
+_READ_CHUNK = 1 << 18  # bytes per read
+_PAD = 32  # NUL bytes around each read, so that every window stays inside the buffer
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+
+_U64 = np.uint64
+_ONES = _U64(0x0101010101010101)
+_ZEROS = _ONES * _U64(ord("0"))  # the text "00000000" as a word
+# Word masks keeping the last k characters (the top k bytes), k = 0..8,
+# and the '0' characters that fill the others.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - k)) if k else 0 for k in range(9)], dtype=np.uint64)
+_FILL = _ZEROS & ~_KEEP
+_TEXT_OFFSETS = np.array([16, 8, 0])  # characters after each word of a 24-byte text window
+_LIMIT17 = 10 ** (17 - np.arange(18, dtype=np.int64))  # m·10^k < 10^17 iff m < _LIMIT17[k]
+
+
+def _windows(buf, size, end) -> np.ndarray:
+    """The size bytes before each offset of end, as rows of size // 8 words."""
+    view = np.ndarray((len(buf) - size + 1,), dtype=f"V{size}", buffer=buf, strides=(1,))
+    return view[end - size].view("<u8").reshape(-1, size // 8)
+
+
+def _non_digits(word):
+    """0 where all 8 characters are digits; else the high bit of the
+    first non-digit byte is set (and maybe some above it).
+    """
+    return ((word + _ONES * _U64(0x46)) | (word - _ZEROS)) & (_ONES * _U64(0x80))
+
+
+def _eight_digits(word):
+    """The value of 8 digit characters, the first one most significant."""
+    word = word - _ZEROS
+    word = word * _U64(10) + (word >> _U64(8))  # 2-digit groups
+    pairs = _U64(0x000000FF000000FF)
+    return ((word & pairs) * _U64(100 + (1000000 << 32))
+            + ((word >> _U64(16)) & pairs) * _U64(1 + (10000 << 32))) >> _U64(32)
+
+
+def _floats(buf, start, end) -> np.ndarray:
+    """float() of each token; a token it rejects raises ValueError."""
+    return np.array([float(buf[a:b]) for a, b in zip(start.tolist(), end.tolist())], dtype=float)
+
+
+def _text_keys(buf, start, end):
+    """Each token's last 24 bytes, NUL before its start, as (n, 3) words,
+    and whether it is longer; a longer token's key matches no other.
+    """
+    length = end - start
+    keys = np.zeros((length.size, 3), dtype=np.uint64)
+    words = min(3, -(-int(length.max(initial=0)) // 8))  # from the end; the others stay 0
+    if words:
+        keep = np.minimum(np.maximum(length[:, None] - _TEXT_OFFSETS[3 - words:], 0), 8)
+        keys[:, 3 - words:] = _windows(buf, 8 * words, end) & _KEEP[keep]
+    long = length > 24
+    keys[long] = ~_U64(0)  # no byte of a plain token is 0xff
+    return keys, long
+
+
+def _same(a, b) -> np.ndarray:
+    return (a[:, 0] == b[:, 0]) & (a[:, 1] == b[:, 1]) & (a[:, 2] == b[:, 2])
+
+
+def _integer_digits(buf, start):
+    """(neg, point, n_int, has_point, whole) of each token: its sign, and
+    the n_int (at most 7) digits after it, of value whole, which end at
+    offset point, a '.' if has_point.
+    """
+    head = _windows(buf, 8, start + 8)[:, 0]  # the first 8 characters
+    neg = (head & _U64(0xFF)) == ord("-")
+    signed = (head & _U64(0xF9)) == 0x29  # '+' or '-', the only plain bytes so masked
+    head = np.where(signed, head >> _U64(8), head)
+    bad = _non_digits(head) | _U64(0x80 << 56)
+    bad &= _U64(0) - bad  # its lowest set bit: the first non-digit
+    bits = (((bad >> _U64(7)) * _U64(0x0001020304050607)) >> _U64(56)) << _U64(3)
+    has_point = ((head >> bits) & _U64(0xFF)) == ord(".")
+    whole = _eight_digits((head << (_U64(64) - bits)) | (_ZEROS >> bits))
+    n_int = (bits >> _U64(3)).view(np.int64)
+    return neg, start + signed + n_int, n_int, has_point, whole
+
+
+def _exponents(last):
+    """(has_e, power) of tokens whose last 8 characters are last: 'e' or
+    'E', a sign and two digits, or no exponent and power 0.
+    """
+    has_e = ((last >> _U64(32)) & _U64(0xF0F0F9DF)) == 0x30302945
+    power = ((((last >> _U64(48)) & _U64(0x0F0F)) * _U64(2561)) >> _U64(8)) & _U64(0xFF)
+    sign = 0x2C - ((last >> _U64(40)) & _U64(0xFF)).view(np.int64)  # '+' 1, '-' -1
+    return has_e, power.view(np.int64) * sign * has_e
+
+
+def _fraction_digits(tail, has_e, n_frac):
+    """(value, ok): the n_frac digits that end each token's 32-byte tail
+    window, 4 bytes earlier where has_e; ok where they are digits and
+    value < 10^18.
+    """
+    shift = has_e.astype(np.uint8) << 5  # bits a word moves
+    back = np.uint8(64) - shift
+    value, ok = _U64(0), True
+    for j in reversed(range(min(3, -(-int(n_frac.max(initial=0)) // 8)))):
+        word = (tail[:, 3 - j] << shift) | (tail[:, 2 - j] >> back)
+        kept = np.minimum(np.maximum(n_frac - 8 * j, 0), 8)
+        word = (word & _KEEP[kept]) | _FILL[kept]
+        ok = ok & (_non_digits(word) == 0)
+        digits = _eight_digits(word)
+        if j == 2:
+            ok &= digits < 100
+        value = value * _U64(10**8) + digits
+    return value, ok
+
+
+def _significands(buf, start, end):
+    """(neg, m, exponent, ok): each s21 token is (-1)^neg · m · 10^exponent
+    where ok, with m < 10^18 and |exponent| <= 22; elsewhere m is 0.
+    """
+    neg, point, n_int, has_point, whole = _integer_digits(buf, start)
+    tail = _windows(buf, 32, end)
+    has_e, power = _exponents(tail[:, 3])
+    stop = end - 4 * has_e  # the end of the digits and point
+    n_frac = stop - point - has_point
+    ok = (has_point | (point == stop)) & (n_int + n_frac >= 1) & (n_frac <= 24)
+    frac, frac_ok = _fraction_digits(tail, has_e, n_frac)
+    ok &= frac_ok & ((whole == 0) | (n_int + n_frac <= 18))  # m < 10^18
+    exponent = power - n_frac
+    ok &= np.abs(exponent) <= 22
+    m = whole.view(np.int64) * _INT10[np.minimum(np.maximum(n_frac, 0), 17)] + frac.view(np.int64)
+    return neg, np.where(ok, m, 0), exponent, ok
+
+
+def _quotients(m, exponent) -> np.ndarray:
+    """m·10^exponent to within an ulp: a double-double quotient (or
+    product) with the exact power of ten; m < 10^18, |exponent| <= 22.
+    """
+    scale = np.minimum(np.abs(exponent), 22)
+    hi = m.astype(np.float64)
+    lo = (m - hi.astype(np.int64)).astype(np.float64)  # m = hi + lo exactly
+    power10 = _POW10[scale]
+    value = hi / power10
+    p_hi, p_lo = _scaled(value, scale)
+    value += (((hi - p_hi) - p_lo) + lo) / power10
+    up = np.flatnonzero(exponent > 0)
+    if up.size:
+        p_hi, p_lo = _scaled(hi[up], scale[up])
+        value[up] = p_hi + (p_lo + lo[up] * power10[up])
+    return value
+
+
+def _decimals(buf, start, end) -> np.ndarray:
+    """float() of each s21 token, exact: SWAR where proven, float() elsewhere."""
+    neg, m, exponent, ok = _significands(buf, start, end)
+    value = _quotients(m, exponent)
+    # Keep c where '%.17g' % c is the token's digits: D = m·10^k.
+    size = np.abs(value)
+    inner = (size > 1e-6) & (size < 1e16)
+    e, digits = _decimal_17(np.where(inner, size, 1.0))
+    k = exponent + 16 - e
+    at = np.minimum(np.maximum(k, 0), 17)
+    ok &= (m == 0) | (inner & (k >= 0) & (np.where(m < _LIMIT17[at], m, 0) * _INT10[at] == digits))
+    value = np.where(neg, -value, value)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        value[slow] = _floats(buf, start[slow], end[slow])
+    return value
+
+
+class _PlainRows:
+    """A plain file's rows, fed one read of complete lines at a time and
+    checked as the line parser checks them: finite values, rows strictly
+    ascending by (h_oe, omega), a complete grid.
+    """
+
+    def __init__(self):
+        self.rows = 0
+        self.h_key = None  # text key of the last row's h_oe
+        self.last = None  # (h_oe, omega) of the last row
+        self.freq_keys, self.freqs = [], []  # omega of the first field block
+        self.n_freqs = 0  # the first block's rows, once a second field starts
+        self.fields = []  # h_oe of each field block
+        self.parts = []  # s21 parts, interleaved, of each read
+
+    def feed(self, buf: bytes, cut: int) -> bool:
+        """Take the lines of buf[_PAD:cut]; False if the line parser must decide."""
+        b = np.frombuffer(buf, dtype=np.uint8, count=cut)
+        seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+        if seps.size % 4 or not (b[seps].reshape(-1, 4) == _ROW_SEPARATORS).all():
+            return False
+        end = seps.reshape(-1, 4)  # the comma or line break after each token
+        n = end.shape[0]
+        line = np.empty(n, dtype=np.int64)
+        line[0] = _PAD
+        line[1:] = end[:-1, 3] + 1
+
+        # h_oe: a token whose text is the previous row's has its value.
+        keys, long = _text_keys(buf, line, end[:, 0])
+        new = np.empty(n, dtype=bool)
+        new[1:] = ~_same(keys[1:], keys[:-1])
+        new[0] = self.h_key is None or not _same(keys[:1], self.h_key[None])[0]
+        new |= long
+        at = np.flatnonzero(new)
+        h = _floats(buf, line[at], end[at, 0])
+        if not new[0]:  # the last read's h_oe goes on
+            at, h = np.append(0, at), np.append(self.last[0], h)
+        h = np.repeat(h, np.diff(np.append(at, n)))
+        self.h_key = keys[-1].copy()  # not a view that keeps this read's keys
+
+        # omega: the first field block is converted; a later token whose
+        # text is the one at its place in that block has its value.
+        start = end[:, 0] + 1
+        keys, long = _text_keys(buf, start, end[:, 1])
+        omega = np.empty(n)
+        first = 0  # rows of this read in the first field block
+        if not self.n_freqs:
+            if not self.rows:
+                self.fields.append(h[:1])
+            in_first = h == self.fields[0][0]
+            first = n if in_first.all() else int(np.argmin(in_first))
+            omega[:first] = _floats(buf, start[:first], end[:first, 1])
+            self.freq_keys.append(keys[:first])
+            self.freqs.append(omega[:first])
+            if first < n:
+                self.freq_keys = np.concatenate(self.freq_keys)
+                self.freqs = np.concatenate(self.freqs)
+                self.n_freqs = self.freqs.size
+        if first < n:
+            place = (self.rows + np.arange(first, n)) % self.n_freqs
+            omega[first:] = self.freqs[place]
+            other = first + np.flatnonzero(~_same(keys[first:], self.freq_keys[place]) | long[first:])
+            omega[other] = _floats(buf, start[other], end[other, 1])
+
+        parts = _decimals(buf, (end[:, 1:3] + 1).reshape(-1), end[:, 2:].reshape(-1))
+        if not (np.isfinite(h).all() and np.isfinite(omega).all() and np.isfinite(parts).all()):
+            return False
+        if self.rows:  # with the last read's last row
+            h, omega = np.append(self.last[0], h), np.append(self.last[1], omega)
+        same_h = h[1:] == h[:-1]
+        if not ((h[1:] > h[:-1]) | (same_h & (omega[1:] > omega[:-1]))).all():
+            return False
+        if first < n:  # each later block: one h_oe, the first block's omega
+            if not ((same_h[first - n:] | (place == 0)).all()
+                    and (omega[first - n:] == self.freqs[place]).all()):
+                return False
+            self.fields.append(h[first - n:][place == 0])
+        self.parts.append(parts)
+        self.rows += n
+        self.last = (h[-1], omega[-1])
+        return True
+
+    def spectrum(self) -> SpectrumMap | None:
+        """The map, or None if the rows do not fill the grid."""
+        if not self.n_freqs:  # a single field
+            if not self.rows:
+                return None
+            self.freqs = np.concatenate(self.freqs)
+            self.n_freqs = self.rows
+        if self.rows % self.n_freqs:
+            return None
+        values = np.concatenate(self.parts).view(complex).reshape(-1, self.n_freqs)
+        return SpectrumMap(np.concatenate(self.fields), self.freqs, values)
+
+
+def _read_plain(path) -> SpectrumMap | None:
+    """The map of a plain file, or None: not plain, or refused."""
+    rows = _PlainRows()
+    pad = bytes(_PAD)
+    tail = b""
+    with open(path, "rb") as handle:
+        if handle.read(len(_HEADER_LINE)) != _HEADER_LINE:
+            return None
+        while chunk := handle.read(_READ_CHUNK):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            buf = b"".join((pad, tail, chunk, pad))
+            del chunk  # one copy of the read while it is parsed
+            cut = buf.rfind(b"\n") + 1
+            tail = buf[max(cut, _PAD):-_PAD]
+            if cut and not rows.feed(buf, cut):
+                return None
+    if tail and not rows.feed(b"".join((pad, tail, b"\n", pad)), _PAD + len(tail) + 1):
+        return None
+    return rows.spectrum()
 
 
 def read_spectrum_csv(path) -> SpectrumMap:
@@ -211,58 +508,20 @@ def read_spectrum_csv(path) -> SpectrumMap:
     values included, raise DataFormatError carrying the offending line
     number (CLI exit 5).
 
-    Plain files (see _PLAIN_BYTES) are parsed by np.loadtxt and checked
-    with array operations.  Every other file, and every file those
-    checks refuse, goes to the line parser, _read_spectrum_lines.  The
+    Plain files (see _PLAIN_BYTES) are parsed by the exact array reader
+    (_read_plain) and checked with array operations.  Every other file,
+    and every file the array reader refuses (a line without four tokens,
+    a token float() rejects, a non-finite value, rows out of order or
+    off the grid), goes to the line parser, _read_spectrum_lines.  The
     reader therefore takes exactly the files the line parser takes, with
     the same value bits, and every error message and line number comes
     from the line parser.
     """
-    rows = _load_plain_rows(path)
-    spectrum = None if rows is None else _grid_from_rows(rows)
+    try:
+        spectrum = _read_plain(path)
+    except ValueError:  # a token float() rejects
+        spectrum = None
     return _read_spectrum_lines(path) if spectrum is None else spectrum
-
-
-def _load_plain_rows(path) -> np.ndarray | None:
-    """Rows of a plain file as an (n, 4) array, or None."""
-    with open(path, "rb") as handle:
-        header = handle.readline()
-        body = handle.read()
-    breaks = body.count(b"\n")
-    # A body of line breaks alone would make np.loadtxt warn "no data".
-    if header != _HEADER_LINE or breaks == len(body) or body.translate(None, _PLAIN_BYTES):
-        return None
-    n_lines = breaks + (not body.endswith(b"\n"))
-    del body  # free the bytes before np.loadtxt allocates its rows
-    # A handle, not the path: np.loadtxt would open a path by its suffix
-    # (.gz, .bz2, .xz) as a compressed file.
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            rows = np.loadtxt(handle, delimiter=",", skiprows=1, comments=None, ndmin=2)
-        except ValueError:  # unparseable number or ragged columns
-            return None
-    # np.loadtxt skips blank lines, which the line parser rejects.
-    return rows if rows.shape == (n_lines, 4) else None
-
-
-def _grid_from_rows(rows: np.ndarray) -> SpectrumMap | None:
-    """The map of finite rows ascending over a complete grid, or None."""
-    if not np.isfinite(rows).all():
-        return None
-    h, w = rows[:, 0], rows[:, 1]
-    same_h = h[1:] == h[:-1]
-    if not np.all((h[1:] > h[:-1]) | (same_h & (w[1:] > w[:-1]))):
-        return None
-    n_freqs = int(np.count_nonzero(h == h[0]))  # h ascends: the first block
-    if h.size % n_freqs:
-        return None
-    grid = rows.reshape(-1, n_freqs, 4)
-    if not ((grid[:, :, 0] == grid[:, :1, 0]).all() and (grid[:, :, 1] == grid[:1, :, 1]).all()):
-        return None
-    values = np.empty(grid.shape[:2], dtype=complex)
-    values.real = grid[:, :, 2]
-    values.imag = grid[:, :, 3]
-    return SpectrumMap(grid[:, 0, 0].copy(), grid[0, :, 1].copy(), values)
 
 
 def read_text(path) -> str:

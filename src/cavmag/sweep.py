@@ -318,20 +318,20 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
 
 def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
     """Sorted complex eigenvalue branches over a field sweep."""
-    fields = _check_axis("fields", fields)
-    hams = hamiltonians(template, fields)
+    curves = BranchCurves(fields, np.empty((np.size(fields), len(template.mode_order())), complex))
+    hams = hamiltonians(template, curves.fields)
     try:
         values = np.linalg.eigvals(hams)
     except np.linalg.LinAlgError:
         # Locate the offending field for the error message.
-        for h, ham in zip(fields, hams):
+        for h, ham in zip(curves.fields, hams):
             try:
                 np.linalg.eigvals(ham)
             except np.linalg.LinAlgError as exc:
                 raise EigenFailure(f"eigenvalue iteration failed at h={format_float(h)}") from exc
         raise EigenFailure("eigenvalue iteration failed")  # pragma: no cover
-    sorted_rows = np.stack([sort_eigenvalues(row) for row in values])
-    return BranchCurves(fields, sorted_rows)
+    curves.branches[:] = [sort_eigenvalues(row) for row in values]
+    return curves
 
 
 def _parabola_coefficients(x, y):

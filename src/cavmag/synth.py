@@ -165,13 +165,12 @@ def synth_map(template: SystemTemplate, fields, freqs, noise: NoiseSpec) -> Spec
     returns the noise-free map unchanged.  Same spec, same map, bit for
     bit.
     """
-    clean = compute_map(template, fields, freqs)
-    if noise.sigma == 0.0:
-        return clean
-    rng = np.random.Generator(np.random.Philox(key=noise.seed))
-    draw = rng.standard_normal(clean.values.shape + (2,))
-    perturbed = clean.values + noise.sigma * (draw[..., 0] + 1j * draw[..., 1])
-    return SpectrumMap(clean.fields, clean.freqs, perturbed)
+    spectrum = compute_map(template, fields, freqs)
+    if noise.sigma != 0.0:
+        rng = np.random.Generator(np.random.Philox(key=noise.seed))
+        draw = rng.standard_normal(spectrum.values.shape + (2,))
+        spectrum.values[...] += noise.sigma * (draw[..., 0] + 1j * draw[..., 1])
+    return spectrum
 
 
 # ── Passivity diagnostics ──────────────────────────────────────────────

@@ -351,6 +351,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, named", [
+    ({"couplings": [{"pair": ["cpw", "yig"], "g": 10**400}]}, "'g'"),
+    ({"field_grid": {"start": 800.0, "stop": 1200.0, "count": 10**400}}, "field_grid"),
+], ids=["coupling", "count"])
+def test_integer_too_large_exits_2_naming_it(tmp_path, capsys, edit, named):
+    config = tmp_path / "big.config"
+    config.write_text(json.dumps(small_doc(**edit)), encoding="utf-8")
+    rc = main(["map", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+
+
 def test_shipped_configs_drive_map(tmp_path):
     rc = main(["map", "--config", str(CONFIG_DIR / "yig_only.config"),
                "--out", str(tmp_path / "yig.csv")])

@@ -1,22 +1,27 @@
 """The array spectrum reader against the line parser it stands in for.
 
-read_spectrum_csv parses plain files with np.loadtxt and array checks
-and hands everything else to the line parser.  For every file, mutated
-or not, both routes must agree exactly: the same fields, freqs and
-values bit for bit, or the same DataFormatError message and line.
+read_spectrum_csv parses plain files with an exact array parser and
+array checks and hands everything else to the line parser.  For every
+file, mutated or not, and for reads of any size, both routes must agree
+exactly: the same fields, freqs and values bit for bit, or the same
+DataFormatError message and line.
 Hypothesis runs derandomized, so failures reproduce.
 """
 
+import importlib
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cavmag import dataio
 from cavmag.dataio import (
     SPECTRUM_HEADER,
-    _load_plain_rows,
+    _read_plain,
     _read_spectrum_lines,
     read_spectrum_csv,
     write_spectrum_csv,
@@ -25,7 +30,7 @@ from cavmag.errors import DataFormatError
 from cavmag.sweep import SpectrumMap
 
 # Replacement tokens: other spellings of numbers, non-finite values and
-# strings float() and np.loadtxt might treat differently.
+# strings float() and the array parser might treat differently.
 TOKENS = (
     "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "1_0", "\uff11", "\u0661",
     "-0", "+0", "0", ".5", "5.", "+.5E+1", "007", "1e5", "1E5", " 1", "1 ", "\t1",
@@ -132,14 +137,28 @@ def test_reader_agrees_with_line_parser(tmp_path_factory, seed, n_fields, n_freq
 
 
 @pytest.mark.parametrize("mutation", ["none", "no_final_newline", "swap_rows"])
-def test_plain_files_take_the_array_route(tmp_path, mutation):
+def test_plain_files_take_the_array_route(tmp_path, monkeypatch, mutation):
     # guards that refused every file would make the agreement above vacuous
     rng = np.random.default_rng(5)
     path = tmp_path / "map.csv"
     write_spectrum_csv(path, random_map(rng, 3, 4))
     path.write_bytes(mutate(path.read_text(encoding="utf-8"), mutation, rng).encode())
-    rows = _load_plain_rows(path)
-    assert rows is not None and rows.shape == (12, 4)
+    parsed = []
+
+    def decimals(*args):
+        parsed.append(parse(*args))
+        return parsed[-1]
+
+    parse = dataio._decimals
+    monkeypatch.setattr(dataio, "_decimals", decimals)
+    spectrum = _read_plain(path)
+    # every row's s21 tokens went through the array parser; only the
+    # order check refuses the swapped rows
+    assert sum(part.size for part in parsed) == 2 * 12
+    if mutation == "swap_rows":
+        assert spectrum is None
+    else:
+        assert spectrum is not None and spectrum.values.shape == (3, 4)
 
 
 @pytest.mark.parametrize("mutation", [
@@ -151,7 +170,7 @@ def test_other_files_go_to_the_line_parser(tmp_path, mutation):
     path = tmp_path / "map.csv"
     write_spectrum_csv(path, random_map(rng, 3, 4))
     path.write_bytes(mutate(path.read_text(encoding="utf-8"), mutation, rng).encode())
-    assert _load_plain_rows(path) is None
+    assert _read_plain(path) is None
     assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
 
 
@@ -168,10 +187,115 @@ def test_crlf_and_cr_files_read_like_lf_files(tmp_path, newline):
 
 
 def test_compressed_suffix_is_read_as_plain_text(tmp_path):
-    # np.loadtxt would open a *.gz path as gzip; the reader hands it a handle
+    # the suffix does not select a decompressor
     rng = np.random.default_rng(7)
     spectrum = random_map(rng, 2, 3)
     path = tmp_path / "map.csv.gz"
     write_spectrum_csv(path, spectrum)
     assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
-    assert _load_plain_rows(path) is not None
+    assert _read_plain(path) is not None
+
+
+# Tokens the writer spells outside its array range, or that other
+# writers might: extremes, subnormals, both sides of 1e-06 and 1e+16,
+# the tie 2^53 + 1, 18 to 20 digits, and other spellings float() takes.
+SPELLINGS = (
+    "1e+300", "-1.0000000000000001e-310", "5e-324", "-0", "0", "9.9999999999999995e-07",
+    "1e-06", "1.0000000000000002e-06", "9999999999999998", "1e+16", "10000000000000002",
+    "9007199254740993", "-9007199254740993", "0.123456789012345678", "1234567890123456789",
+    "12345678901234567890", "0.10000000000000000555", "1.00000000000000000000", ".5", "5.",
+    "-.5", "+0.5", "1E-05", "1.5E+01", "+1.5e+01", "1e5", "0.0001", "1234567.5", "12345678.5",
+)
+
+
+def written(path, spectrum) -> str:
+    write_spectrum_csv(path, spectrum)
+    return path.read_text(encoding="ascii")
+
+
+def spell(text, rng) -> str:
+    """text with every s21 token replaced by one of SPELLINGS."""
+    header, *rows = text.split("\n")[:-1]
+    tokens = iter(rng.choice(SPELLINGS, 2 * len(rows)).tolist())
+    rows = [",".join(row.split(",")[:2] + [next(tokens), next(tokens)]) for row in rows]
+    return "".join(row + "\n" for row in [header, *rows])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+def test_other_spellings_and_small_reads_take_the_array_route(tmp_path, monkeypatch, chunk):
+    # reads of a few bytes split rows, tokens and the carried tail
+    monkeypatch.setattr(dataio, "_READ_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    path = tmp_path / "map.csv"
+    for n_fields, n_freqs in ((1, 1), (1, 9), (4, 1), (5, 7)):
+        text = written(path, random_map(rng, n_fields, n_freqs))
+        for body in (text, spell(text, rng)):
+            path.write_text(body, encoding="ascii")
+            assert _read_plain(path) is not None
+            assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_fields=st.integers(1, 4), n_freqs=st.integers(1, 4),
+       mutation=st.sampled_from(MUTATIONS), token=st.sampled_from(TOKENS + SPELLINGS),
+       column=st.integers(0, 3), chunk=st.sampled_from([1, 5, 33, 200]))
+def test_small_reads_agree_with_line_parser(tmp_path_factory, seed, n_fields, n_freqs,
+                                            mutation, token, column, chunk):
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("map") / "map.csv"
+    text = written(path, random_map(rng, n_fields, n_freqs))
+    path.write_bytes(mutate(text, mutation, rng, token, column).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_READ_CHUNK", chunk)
+        assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+
+
+def test_h_oe_text_may_vary_within_a_field(tmp_path):
+    # "700" and "700.0" are one field: more conversions, same route
+    rng = np.random.default_rng(12)
+    spectrum = random_map(rng, 3, 4)
+    path = tmp_path / "map.csv"
+    text = written(path, SpectrumMap(np.array([700.0, 701.0, 702.0]), spectrum.freqs,
+                                     spectrum.values))
+    header, *rows = text.split("\n")[:-1]
+    rows = [row.replace("700,", "700.0,", 1) if k % 2 else row for k, row in enumerate(rows)]
+    path.write_text("".join(row + "\n" for row in [header, *rows]), encoding="ascii")
+    assert "700.0," in path.read_text(encoding="ascii")
+    assert _read_plain(path) is not None
+    assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+
+
+def test_benchmark_inputs_take_the_array_route(tmp_path):
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(perfbench))
+    try:
+        gen_inputs = importlib.import_module("gen_inputs")
+    finally:
+        sys.path.remove(str(perfbench))
+        for name in ("gen_inputs", "run"):
+            sys.modules.pop(name, None)
+    for workload in ("fit_map", "branches_thickness"):
+        out = tmp_path / workload
+        out.mkdir()
+        path = out / gen_inputs.write_inputs(workload, 7, out)["files"]["data"]
+        spectrum = _read_plain(path)
+        assert spectrum is not None
+        assert outcome(lambda _: spectrum, path) == outcome(_read_spectrum_lines, path)
+
+
+def test_a_candidate_one_ulp_off_is_never_kept(tmp_path, monkeypatch):
+    # the '%.17g' check, not the accuracy of the quotient, makes values
+    # exact; a zero significand is an exact zero either way
+    def quotients(m, exponent):
+        value = exact(m, exponent)
+        return np.where(m == 0, value, np.nextafter(value, np.inf))
+
+    exact = dataio._quotients
+    monkeypatch.setattr(dataio, "_quotients", quotients)
+    rng = np.random.default_rng(13)
+    path = tmp_path / "map.csv"
+    text = written(path, random_map(rng, 4, 6))
+    for body in (text, spell(text, rng)):
+        path.write_text(body, encoding="ascii")
+        assert _read_plain(path) is not None
+        assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)

@@ -26,6 +26,7 @@ from cavmag.errors import (
     SingularResponse,
     WindowTooNarrow,
 )
+from cavmag import sweep
 from cavmag.sweep import (
     _FIELD_BLOCK,
     BranchCurves,
@@ -536,3 +537,19 @@ def test_non_finite_grid_axes_are_rejected(fields, freqs, axis, shown):
             compute_branches(template, fields)
         with pytest.raises(InvalidSystem, match="fields must be finite"):
             BranchCurves(fields, np.zeros((len(fields), 3), complex))
+
+
+def test_branches_check_their_fields_once(monkeypatch):
+    checked = []
+    check = sweep._check_axis
+
+    def counted(name, values):
+        checked.append(name)
+        return check(name, values)
+
+    monkeypatch.setattr(sweep, "_check_axis", counted)
+    fields = np.linspace(600.0, 1400.0, 17)
+    curves = compute_branches(two_magnon_template(), fields)
+    assert checked == ["fields"]
+    assert curves.fields.tobytes() == fields.tobytes()
+    assert curves.branches.shape == (17, 3)

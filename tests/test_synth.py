@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cavmag.core import PERMALLOY, YIG, HybridSystem, ModeSpec, canonical_three_mode, s21
+from cavmag import sweep
 from cavmag.errors import InvalidSystem
 from cavmag.sweep import SystemTemplate, TemplateMagnon, compute_map
 from cavmag.synth import (
@@ -115,6 +116,25 @@ def test_same_seed_reproduces_bit_for_bit():
     assert np.array_equal(first.values, second.values)
     different = synth_map(template, fields, freqs, NoiseSpec(sigma=0.02, seed=100))
     assert not np.array_equal(first.values, different.values)
+
+
+def test_noise_is_added_to_the_checked_map_in_place(monkeypatch):
+    checked = []
+    check = sweep._check_axis
+
+    def counted(name, values):
+        checked.append(name)
+        return check(name, values)
+
+    monkeypatch.setattr(sweep, "_check_axis", counted)
+    template = one_magnon_template()
+    fields = np.linspace(900.0, 1100.0, 9)
+    freqs = np.linspace(28.6, 29.8, 11)
+    noisy = synth_map(template, fields, freqs, NoiseSpec(sigma=0.02, seed=99))
+    assert checked == ["fields", "freqs"]
+    draw = np.random.Generator(np.random.Philox(key=99)).standard_normal((9, 11, 2))
+    expected = compute_map(template, fields, freqs).values + 0.02 * (draw[..., 0] + 1j * draw[..., 1])
+    assert noisy.values.tobytes() == expected.tobytes()
 
 
 def test_noise_is_independent_of_the_model():
