@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,18 @@ def _checked_seed(value: int | None) -> int | None:
     return value
 
 
+@contextmanager
+def _grids_in_memory(config: RunConfig):
+    """Turn a MemoryError met while sizing or filling the config grids
+    into a ConfigError that names the grid sizes."""
+    try:
+        yield
+    except MemoryError:
+        raise ConfigError(
+            f"field_grid ({config.field_grid.count} points) x freq_grid "
+            f"({config.freq_grid.count} points) does not fit in memory") from None
+
+
 # ── Subcommands ────────────────────────────────────────────────────────
 
 
@@ -80,12 +93,13 @@ def cmd_kittel(args) -> int:
         materials = {args.material: materials[args.material]}
     if not materials:
         raise ConfigError("config has no field-driven mode")
-    fields = (_parse_fields_list(args.fields) if args.fields is not None
-              else list(config.field_grid.to_array()))
-    rows = []
-    for label, material in materials.items():
-        for h in fields:
-            rows.append((label, float(h), kittel_frequency(material, float(h), label)))
+    with _grids_in_memory(config):
+        fields = (_parse_fields_list(args.fields) if args.fields is not None
+                  else list(config.field_grid.to_array()))
+        rows = []
+        for label, material in materials.items():
+            for h in fields:
+                rows.append((label, float(h), kittel_frequency(material, float(h), label)))
     print("label h_oe omega")
     for label, h, omega in rows:
         print(f"{label} {format_float(h)} {format_float(omega * scale)}")
@@ -98,8 +112,9 @@ def cmd_kittel(args) -> int:
 
 def cmd_map(args) -> int:
     config = load_config(args.config)
-    spectrum = compute_map(config.template(),
-                           config.field_grid.to_array(), config.freq_grid.to_array())
+    with _grids_in_memory(config):
+        spectrum = compute_map(config.template(),
+                               config.field_grid.to_array(), config.freq_grid.to_array())
     write_spectrum_csv(args.out, spectrum)
     if args.heatmap:
         write_pgm(Path(args.out).with_suffix(".pgm"), spectrum)
@@ -109,7 +124,8 @@ def cmd_map(args) -> int:
 
 def cmd_branches(args) -> int:
     config = load_config(args.config)
-    curves = compute_branches(config.template(), config.field_grid.to_array())
+    with _grids_in_memory(config):
+        curves = compute_branches(config.template(), config.field_grid.to_array())
     write_branches_csv(args.out, curves)
     print(f"branches: {curves.fields.size} fields x {curves.branches.shape[1]} branches -> {args.out}")
     return 0
@@ -219,8 +235,9 @@ def cmd_thickness(args) -> int:
         if args.maps_dir is not None:
             directory = Path(args.maps_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            spectrum = compute_map(template, config.field_grid.to_array(),
-                                   config.freq_grid.to_array())
+            with _grids_in_memory(config):
+                spectrum = compute_map(template, config.field_grid.to_array(),
+                                       config.freq_grid.to_array())
             write_spectrum_csv(directory / f"map_t{format_float(t)}.csv", spectrum)
     write_thickness_csv(args.out, rows)
     if len(rows) >= 2:  # a one-point series cannot support the trend fits
@@ -246,8 +263,9 @@ def cmd_synth(args) -> int:
     seed = _checked_seed(args.seed)
     if seed is not None:
         noise = NoiseSpec(sigma=noise.sigma, seed=seed)
-    spectrum = synth_map(config.template(), config.field_grid.to_array(),
-                         config.freq_grid.to_array(), noise)
+    with _grids_in_memory(config):
+        spectrum = synth_map(config.template(), config.field_grid.to_array(),
+                             config.freq_grid.to_array(), noise)
     write_spectrum_csv(args.out, spectrum)
     if args.heatmap:
         write_pgm(Path(args.out).with_suffix(".pgm"), spectrum)

@@ -33,8 +33,7 @@ from .errors import (
 # Estimated condition number beyond which a transmission solve is
 # reported as singular instead of returned as roundoff noise.
 SINGULAR_COND_LIMIT = 1e14
-# A point is cleared without an SVD when the condition-number bound
-# from its LU factors stays this factor below SINGULAR_COND_LIMIT.
+# A point goes to the SVD unless _cond_bound stays this factor below it.
 _SCREEN_MARGIN = 10.0
 
 
@@ -266,13 +265,34 @@ def build_coupling_hamiltonian(system: HybridSystem) -> np.ndarray:
     return np.diag(omega) + g - 1j * loss
 
 
-def _sum_abs_sq(entries, grid: tuple[int, int]) -> np.ndarray:
-    """Sum of |z|^2 over contiguous complex arrays of shape grid."""
-    total = np.zeros((grid[0], 2 * grid[1]))
-    for z in entries:
-        parts = z.view(np.float64)  # real and imaginary parts interleaved
-        total += parts * parts
-    return total[:, 0::2] + total[:, 1::2]
+def _cond_bound(hams: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Upper bound, (F, W), on the 2-norm condition number of M = i (omega I - H).
+
+    H is complex symmetric, so C = Re H and L = -Im H are real symmetric:
+    (a) sigma_min(M) >= dist(omega, eig C) - ||L||_2 (Weyl; i (omega I - C)
+    is normal), (b) sigma_min(M) >= lambda_min(L) (||M x|| >= |x* M x| >=
+    x* L x for |x| = 1) and (c) ||M||_2 <= |omega| + ||H||_F.  Bound: (c) /
+    (max(a, b) - 8 n eps (max |omega| + ||H||_F)), inf where <= 0, NaN where
+    ||H||_F is not finite; fields (b) keeps below the screen threshold skip (a).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h_norm = np.linalg.norm(hams, axis=(1, 2))
+        finite = np.isfinite(h_norm)  # false if H has a non-finite entry or |h|^2 overflows
+        safe = np.where(finite[:, None, None], hams, 0.0)  # eigvalsh needs finite input
+        l_eig = np.linalg.eigvalsh(-safe.imag)
+        w_abs = np.abs(freqs)
+        reach = w_abs.max(initial=0.0) + h_norm
+        slack = 8 * hams.shape[-1] * np.finfo(float).eps * reach
+        floor = l_eig[:, 0] - slack
+        cond = (w_abs + h_norm[:, None]) / floor[:, None]  # NaN where not finite
+        rows = np.flatnonzero(finite & (floor * (SINGULAR_COND_LIMIT / _SCREEN_MARGIN) <= reach))
+        if rows.size:
+            c_eig = np.linalg.eigvalsh(safe[rows].real)
+            dist = np.abs(freqs - c_eig[:, :, None]).min(axis=1)
+            dist -= (np.maximum(-l_eig[rows, 0], l_eig[rows, -1]) + slack[rows])[:, None]
+            np.maximum(dist, floor[rows, None], out=dist)
+            cond[rows] = np.where(dist > 0.0, (w_abs + h_norm[rows, None]) / dist, np.inf)
+        return cond
 
 
 def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
@@ -290,20 +310,17 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
     builds its exact Jacobian from them).
 
     cond is the 2-norm condition number of M wherever it could matter:
-    the factors bound it, kappa <= ||M||_F ||U^-1||_F ||L^-1||_F, and
-    where that bound does not clear SINGULAR_COND_LIMIT by
-    _SCREEN_MARGIN the exact SVD value (np.linalg.cond) replaces it; a
-    matrix with a non-finite entry gets inf.
+    the SVD value (np.linalg.cond; inf for a non-finite M) replaces the
+    bound of _cond_bound where it does not clear the screen threshold.
     """
     n = hams.shape[-1]
     eye = np.eye(n)
     grid = (hams.shape[0], freqs.size)
     # a[i, j] is entry (i, j) of M over the grid; column n carries w
     a = np.empty((n, n + 1) + grid, dtype=complex)
-    a[:, :n] = 1j * (eye[:, :, None, None] * freqs - hams.transpose(1, 2, 0)[..., None])
     a[:, n] = weights[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound_sq = _sum_abs_sq((a[i, j] for i in range(n) for j in range(n)), grid)
+        a[:, :n] = 1j * (eye[:, :, None, None] * freqs - hams.transpose(1, 2, 0)[..., None])
         for k in range(n - 1):
             parts = np.abs(a[k:, k].view(np.float64))
             pivot = np.argmax(parts[..., 0::2] + parts[..., 1::2], axis=0)
@@ -323,32 +340,15 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
         values = weights[0] * x[0]
         for i in range(1, n):
             values = values + weights[i] * x[i]
-        # U^-1 and the strictly lower part of L^-1 (its diagonal is 1),
-        # column by column
-        u_inv, l_inv = {}, {}
-        for j in range(n):
-            u_inv[j, j] = 1.0 / a[j, j]
-            for i in reversed(range(j)):
-                acc = a[i, i + 1] * u_inv[i + 1, j]
-                for m in range(i + 2, j + 1):
-                    acc = acc + a[i, m] * u_inv[m, j]
-                u_inv[i, j] = -acc / a[i, i]
-            for i in range(j + 1, n):
-                acc = a[i, j]
-                for m in range(j + 1, i):
-                    acc = acc + a[i, m] * l_inv[m, j]
-                l_inv[i, j] = -acc
-        bound_sq *= _sum_abs_sq(u_inv.values(), grid)
-        bound_sq *= n + _sum_abs_sq(l_inv.values(), grid)
-        cond = np.sqrt(bound_sq)
-    suspect = ~(cond < SINGULAR_COND_LIMIT / _SCREEN_MARGIN)
-    if np.any(suspect):
-        fi, wi = np.nonzero(suspect)
-        m = 1j * (freqs[wi, None, None] * eye - hams[fi])
-        finite = np.all(np.isfinite(m), axis=(1, 2))
-        exact = np.full(fi.size, np.inf)
-        exact[finite] = np.linalg.cond(m[finite])
-        cond[suspect] = exact
+        cond = _cond_bound(hams, freqs)
+        suspect = ~(cond < SINGULAR_COND_LIMIT / _SCREEN_MARGIN)
+        if np.any(suspect):
+            fi, wi = np.nonzero(suspect)
+            m = 1j * (freqs[wi, None, None] * eye - hams[fi])
+            finite = np.all(np.isfinite(m), axis=(1, 2))
+            exact = np.full(fi.size, np.inf)
+            exact[finite] = np.linalg.cond(m[finite])
+            cond[suspect] = exact
     return values, cond, x
 
 
@@ -359,8 +359,8 @@ def s21(system: HybridSystem, omega: float) -> complex:
     returns w . x, where w is the stripline weight vector: the
     single-point call of the kernel that computes whole maps, so a map
     entry equals the matching s21 bit for bit.  SingularResponse is
-    decided by the SVD condition number, computed only where the bound
-    from the LU factors cannot clear the limit.
+    decided by the SVD condition number, computed only where the
+    passivity bound of _cond_bound cannot clear the limit.
     """
     if not isinstance(omega, (int, float)) or not math.isfinite(omega):
         raise InvalidSystem(f"probe frequency must be a finite real, got {omega!r}")

@@ -76,6 +76,12 @@ class SystemTemplate:
     def __post_init__(self):
         if not isinstance(self.magnons, tuple):
             object.__setattr__(self, "magnons", tuple(self.magnons))
+        modes = (self.resonator, *self.magnons)
+        beta_max = max(m.beta for m in modes)  # bounds every stripline cross-term beta_j beta_k
+        for m in modes:
+            if not (math.isfinite(m.alpha + m.beta) and math.isfinite(m.beta * beta_max)):
+                raise InvalidSystem(f"mode {m.label!r}: damping overflows the coupling matrix "
+                                    f"(alpha={format_float(m.alpha)}, beta={format_float(m.beta)})")
         labels = self.mode_order()
         if len(set(labels)) != len(labels):
             raise InvalidSystem(f"mode labels must be unique, got {labels}")
@@ -303,9 +309,12 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     both run the same elementwise partial-pivot elimination.
     SingularResponse is decided, as in s21, by the 2-norm condition
     number of the response matrix (an SVD), reported at the first
-    offending point in row-major order.  A bound from the LU factors
-    only pre-screens: the SVD runs wherever that bound comes within 10x
-    of the limit.
+    offending point in row-major order.  A passivity bound only
+    pre-screens (core._cond_bound, per field): with H = C - i L, the
+    smallest singular value of M = i (omega I - H) is at least
+    dist(omega, eig C) - ||L||_2 (Weyl) and at least lambda_min(L), and
+    ||M||_2 <= |omega| + ||H||_F.  The SVD runs wherever that bound comes
+    within 10x of the limit.
     """
     spectrum = SpectrumMap(fields, freqs, np.empty((np.size(fields), np.size(freqs)), complex))
 

@@ -8,7 +8,7 @@ import pytest
 
 from cavmag import cli
 from cavmag.cli import main
-from cavmag.config import load_config
+from cavmag.config import GridSpec, load_config
 from cavmag.dataio import format_float, read_spectrum_csv
 from cavmag.sweep import gap_at_crossing
 
@@ -378,3 +378,43 @@ def test_shipped_thickness_config_prints_trends(tmp_path, capsys):
     crosslink = next(ln for ln in out.splitlines() if ln.startswith("g1_of_g2:"))
     assert float(trend.split()[-1]) > 0.999      # r_squared of the gap trend
     assert float(crosslink.split()[-1]) > 0.999
+
+
+@pytest.mark.parametrize("argv", [["map", "--out", "out.csv"], ["branches", "--out", "out.csv"],
+                                  ["synth", "--out", "out.csv"], ["kittel"]],
+                         ids=["map", "branches", "synth", "kittel"])
+def test_grid_too_large_for_memory_exits_2_naming_the_grids(tmp_path, small_config, capsys,
+                                                            monkeypatch, argv):
+    # whether a huge allocation is refused depends on the OS overcommit
+    # mode, so the refusal is simulated instead of requested
+    def refuse(self):
+        raise MemoryError
+
+    monkeypatch.setattr(GridSpec, "to_array", refuse)
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv + ["--config", str(small_config)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: field_grid (21 points) x freq_grid (33 points) does not fit in memory\n")
+
+
+def test_map_too_large_for_memory_exits_2(tmp_path, small_config, capsys, monkeypatch):
+    def refuse(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "compute_map", refuse)
+    rc = main(["map", "--config", str(small_config), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+
+
+def test_damping_overflow_exits_2_naming_the_mode(tmp_path, capsys):
+    doc = small_doc()
+    doc["modes"][1]["beta"] = 1e308
+    config = tmp_path / "overflow.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["map", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: mode 'yig': damping overflows the coupling matrix (alpha=0.0050000000000000001, "
+        "beta=1e+308)\n")

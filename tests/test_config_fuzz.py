@@ -47,9 +47,9 @@ PATHS = [p for p in paths(SEED) if p]
 DROP = object()  # an edit that deletes the value
 
 
-def mutated(edits) -> dict:
-    """SEED with each (path, value) edit applied where the path still exists."""
-    doc = copy.deepcopy(SEED)
+def mutated(edits, base=SEED) -> dict:
+    """base with each (path, value) edit applied where the path still exists."""
+    doc = copy.deepcopy(base)
     for (*parents, key), value in edits:
         try:
             node = doc

@@ -553,3 +553,13 @@ def test_branches_check_their_fields_once(monkeypatch):
     assert checked == ["fields"]
     assert curves.fields.tobytes() == fields.tobytes()
     assert curves.branches.shape == (17, 3)
+
+
+@pytest.mark.parametrize("resonator, magnon", [
+    (ModeSpec("cpw", 29.2, 0.01, 1e200), TemplateMagnon("yig", 0.005, 1e200, YIG)),
+    (ModeSpec("cpw", 29.2, 0.01, 1e308), TemplateMagnon("yig", 0.005, 0.004, YIG)),
+    (ModeSpec("cpw", 29.2, 0.01, 0.02), TemplateMagnon("yig", 1e308, 1e308, YIG)),
+], ids=["cross_term", "own_square", "diagonal"])
+def test_template_rejects_damping_that_overflows_the_matrix(resonator, magnon):
+    with pytest.raises(InvalidSystem, match="damping overflows the coupling matrix"):
+        SystemTemplate(resonator=resonator, magnons=(magnon,), couplings={("cpw", "yig"): 0.2})

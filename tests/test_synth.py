@@ -195,7 +195,8 @@ def test_active_system_is_flagged_not_raised():
 
 
 @pytest.mark.parametrize("name, value", [("beta", -0.01), ("beta", math.nan),
-                                         ("omega", math.nan), ("alpha", math.inf)])
+                                         ("omega", math.nan), ("omega", math.inf),
+                                         ("alpha", math.inf)])
 def test_broken_system_is_flagged_not_raised(name, value):
     # non-finite entries in the coupling matrix: no eigenvalues and no
     # transmission to report, so both indicators read inf
@@ -211,3 +212,9 @@ def test_singular_probe_reads_inf():
     system = HybridSystem((ModeSpec("one", 29.2, 0.0, 0.0), ModeSpec("two", 30.0, 0.01, 0.02)))
     assert passivity_check(system, [29.0, 29.2]).max_abs_one_plus_s21 == math.inf
     assert passivity_check(system, [29.0, 29.3]).max_abs_one_plus_s21 < math.inf
+
+
+def test_no_probe_frequencies_report_no_transmission():
+    system = HybridSystem((ModeSpec("one", 29.2, 0.01, 0.02),))
+    report = passivity_check(system, [])
+    assert report.max_abs_one_plus_s21 == 0.0 and not report.flagged
