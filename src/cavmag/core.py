@@ -86,6 +86,19 @@ class KittelMaterial:
                 raise InvalidSystem(f"material constant {name} must be finite and > 0, got {value!r}")
 
 
+def _check_dampings(modes) -> None:
+    """InvalidSystem for the first mode whose alpha + beta, or whose
+    stripline product beta_j beta_k with any mode, overflows the coupling
+    matrix.  modes need label, alpha and beta; a damping that is not
+    finite in the first place is left to the mode's own check."""
+    finite = [m for m in modes if math.isfinite(m.alpha) and math.isfinite(m.beta)]
+    beta_max = max((m.beta for m in finite), default=0.0)  # bounds every beta_j beta_k
+    for m in finite:
+        if not (math.isfinite(m.alpha + m.beta) and math.isfinite(m.beta * beta_max)):
+            raise InvalidSystem(f"mode {m.label!r}: damping overflows the coupling matrix "
+                                f"(alpha={format_float(m.alpha)}, beta={format_float(m.beta)})")
+
+
 # Film constants used by the shipped example configurations.
 YIG = KittelMaterial(gamma=1.76e-2, four_pi_m=1750.0)
 PERMALLOY = KittelMaterial(gamma=2.94e-3, four_pi_m=10900.0)
@@ -112,6 +125,7 @@ class HybridSystem:
         labels = [m.label for m in self.modes]
         if len(set(labels)) != n:
             raise InvalidSystem(f"mode labels must be unique, got {labels}")
+        _check_dampings(self.modes)
         normalized: dict[tuple[int, int], float] = {}
         for key, g in self.couplings.items():
             i, j = key
@@ -295,7 +309,19 @@ def _cond_bound(hams: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         return cond
 
 
-def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
+def _kernel_work(n: int, fields: int, freqs: int):
+    """Work of _transmission for n modes on grids up to fields x freqs:
+    one (fields, freqs) slot per entry of [M | w], and a scratch slot.
+
+    The scratch slot is a separate array so that the largest array a sweep
+    frees stays the size of [M | w]: glibc raises its mmap and trim
+    thresholds to the largest block freed, and one slot more raised the
+    peak RSS of the map_full benchmark by about 3 MB.
+    """
+    return np.empty((n, n + 1, fields, freqs), dtype=complex), np.empty((fields, freqs), dtype=complex)
+
+
+def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray, work=None):
     """Transmission and guard condition number on a (field, frequency) grid.
 
     hams is an (F, n, n) stack of coupling matrices, weights the
@@ -309,42 +335,78 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray):
     arrays of the back substitution, returned as computed (the map fit
     builds its exact Jacobian from them).
 
+    Only the diagonal of M depends on the frequency: the other entries
+    stay (F, 1) arrays, and w (1, 1), until an update or a row exchange
+    writes them, and rows are exchanged only where a point pivots.
+    Written entries live in work, the arrays of _kernel_work(n, F', W)
+    with F' >= F that a sweep passes to every block; by default the call
+    allocates its own.
+
     cond is the 2-norm condition number of M wherever it could matter:
     the SVD value (np.linalg.cond; inf for a non-finite M) replaces the
     bound of _cond_bound where it does not clear the screen threshold.
     """
     n = hams.shape[-1]
-    eye = np.eye(n)
     grid = (hams.shape[0], freqs.size)
-    # a[i, j] is entry (i, j) of M over the grid; column n carries w
-    a = np.empty((n, n + 1) + grid, dtype=complex)
-    a[:, n] = weights[:, None, None]
+    if work is None:
+        work = _kernel_work(n, *grid)
+    full, tmp = work
+    slots, tmp = full[:, :, : grid[0]], tmp[: grid[0]]
+    slot = [list(row) for row in slots]  # slot[i][j] holds entry (i, j) once written
+    diag = full.reshape((n * (n + 1),) + full.shape[2:])[:: n + 2, : grid[0]]  # slots (i, i)
+
+    def own(i, j):
+        """Move entry (i, j) into its slot, expanding it over the grid."""
+        if a[i][j] is not slot[i][j]:
+            np.copyto(slot[i][j], a[i][j])
+            a[i][j] = slot[i][j]
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a[:, :n] = 1j * (eye[:, :, None, None] * freqs - hams.transpose(1, 2, 0)[..., None])
+        # off the diagonal M is i (0 omega - H_ij): one column for every
+        # omega unless 0 omega differs in its bits (negative or non-finite omega)
+        zero = 0.0 * freqs
+        bits = zero.view(np.uint64)
+        if zero.size and (bits == bits[0]).all():
+            zero = zero[:1]
+        const = 1j * (zero - hams.transpose(1, 2, 0)[..., None])
+        np.subtract(freqs, hams.diagonal(axis1=1, axis2=2).T[..., None], out=diag)
+        np.multiply(1j, diag, out=diag)
+        # a[i][j] is entry (i, j) of M over the grid; column n carries w
+        a = [list(row) + [w] for row, w in zip(const, weights.astype(complex)[:, None, None])]
+        for i in range(n):
+            a[i][i] = slot[i][i]
         for k in range(n - 1):
-            parts = np.abs(a[k:, k].view(np.float64))
-            pivot = np.argmax(parts[..., 0::2] + parts[..., 1::2], axis=0)
+            for r in range(k + 1, n):
+                own(r, k)
+            parts = np.abs(slots[k:, k].view(np.float64))
+            pivot = (parts[..., 0::2] + parts[..., 1::2]).argmax(axis=0)
             for r in range(k + 1, n):
                 swap = pivot == r - k
-                row = a[k].copy()
-                np.copyto(a[k], a[r], where=swap)
-                np.copyto(a[r], row, where=swap)
-            a[k + 1 :, k] /= a[k, k]  # the multipliers, stored where L goes
-            a[k + 1 :, k + 1 :] -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+                for j in range(k, n + 1) if swap.any() else ():  # left of k is only L
+                    own(k, j)
+                    own(r, j)
+                    np.copyto(tmp, a[k][j])
+                    np.copyto(a[k][j], a[r][j], where=swap)
+                    np.copyto(a[r][j], tmp, where=swap)
+            slots[k + 1 :, k] /= slots[k, k]  # the multipliers, stored where L goes
+            for r in range(k + 1, n):
+                for j in range(k + 1, n + 1):
+                    np.multiply(a[r][k], a[k][j], out=tmp)
+                    a[r][j] = np.subtract(a[r][j], tmp, out=slot[r][j])
         x = [None] * n
         for i in reversed(range(n)):
-            acc = a[i, n]
+            acc = a[i][n]
             for j in range(i + 1, n):
-                acc = acc - a[i, j] * x[j]
-            x[i] = acc / a[i, i]
+                acc = acc - a[i][j] * x[j]
+            x[i] = acc / a[i][i]
         values = weights[0] * x[0]
         for i in range(1, n):
             values = values + weights[i] * x[i]
         cond = _cond_bound(hams, freqs)
         suspect = ~(cond < SINGULAR_COND_LIMIT / _SCREEN_MARGIN)
-        if np.any(suspect):
+        if suspect.any():
             fi, wi = np.nonzero(suspect)
-            m = 1j * (freqs[wi, None, None] * eye - hams[fi])
+            m = 1j * (freqs[wi, None, None] * np.eye(n) - hams[fi])
             finite = np.all(np.isfinite(m), axis=(1, 2))
             exact = np.full(fi.size, np.inf)
             exact[finite] = np.linalg.cond(m[finite])
@@ -376,9 +438,10 @@ def s21(system: HybridSystem, omega: float) -> complex:
 
 
 def sort_eigenvalues(values: np.ndarray) -> np.ndarray:
-    """Deterministic branch order: ascending real part, then imaginary."""
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
+    """Deterministic branch order along the last axis: ascending real part,
+    then imaginary."""
+    order = np.lexsort((values.imag, values.real), axis=-1)
+    return np.take_along_axis(values, order, axis=-1)
 
 
 def eigenbranches(system: HybridSystem) -> np.ndarray:

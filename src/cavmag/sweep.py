@@ -19,6 +19,8 @@ from .core import (
     HybridSystem,
     KittelMaterial,
     ModeSpec,
+    _check_dampings,
+    _kernel_work,
     _transmission,
     build_coupling_hamiltonian,
     field_for_frequency,
@@ -76,12 +78,7 @@ class SystemTemplate:
     def __post_init__(self):
         if not isinstance(self.magnons, tuple):
             object.__setattr__(self, "magnons", tuple(self.magnons))
-        modes = (self.resonator, *self.magnons)
-        beta_max = max(m.beta for m in modes)  # bounds every stripline cross-term beta_j beta_k
-        for m in modes:
-            if not (math.isfinite(m.alpha + m.beta) and math.isfinite(m.beta * beta_max)):
-                raise InvalidSystem(f"mode {m.label!r}: damping overflows the coupling matrix "
-                                    f"(alpha={format_float(m.alpha)}, beta={format_float(m.beta)})")
+        _check_dampings((self.resonator, *self.magnons))
         labels = self.mode_order()
         if len(set(labels)) != len(labels):
             raise InvalidSystem(f"mode labels must be unique, got {labels}")
@@ -279,19 +276,19 @@ def _each_block(template: SystemTemplate, fields: np.ndarray, freqs: np.ndarray,
     """
     hams = hamiltonians(template, fields)
     weights = stripline_vector(instantiate(template, 0.0))
+    # One work array for every block: a warm full_device compute_map then
+    # takes 0-2.1k minor page faults whether or not a block's values and x
+    # are freed before the next block runs.
+    work = _kernel_work(hams.shape[-1], min(fields.size, _FIELD_BLOCK), freqs.size)
     for start in range(0, fields.size, _FIELD_BLOCK):
         block = slice(start, start + _FIELD_BLOCK)
-        # values and x stay bound while the kernel runs on the next block.
-        # Freed first, they let malloc hand the block's pages back to the
-        # system, and every block faults them in again: on full_device
-        # about 14x the page faults and 1.7x the compute_map time.
-        values, x = _guarded_transmission(hams[block], weights, fields[block], freqs)
+        values, x = _guarded_transmission(hams[block], weights, fields[block], freqs, work)
         visit(block, values, x)
 
 
-def _guarded_transmission(hams, weights, fields, freqs):
+def _guarded_transmission(hams, weights, fields, freqs, work):
     """(values, x) of the kernel, or SingularResponse naming the first bad point."""
-    values, cond, x = _transmission(hams, weights, freqs)
+    values, cond, x = _transmission(hams, weights, freqs, work)
     bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
     if bad.size:
         i, j = bad[0]
@@ -339,7 +336,7 @@ def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
             except np.linalg.LinAlgError as exc:
                 raise EigenFailure(f"eigenvalue iteration failed at h={format_float(h)}") from exc
         raise EigenFailure("eigenvalue iteration failed")  # pragma: no cover
-    curves.branches[:] = [sort_eigenvalues(row) for row in values]
+    curves.branches[:] = sort_eigenvalues(values)
     return curves
 
 

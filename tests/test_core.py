@@ -80,6 +80,21 @@ def test_system_rejects_bad_couplings():
         HybridSystem((a, ModeSpec("a", 29.4, 0.01, 0.02)))
 
 
+@pytest.mark.parametrize("dampings, shown", [
+    ([(0.01, 1e308)], "'a': damping overflows the coupling matrix (alpha=0.01, beta=1e+308)"),
+    ([(1e308, 1e308)], "'a': damping overflows the coupling matrix (alpha=1e+308, beta=1e+308)"),
+    ([(0.0, 0.02), (0.0, 1e160), (0.0, 1e160)],
+     "'b': damping overflows the coupling matrix (alpha=0, beta=1e+160)"),
+])
+def test_system_rejects_dampings_that_overflow_the_coupling_matrix(dampings, shown):
+    # alpha + beta or a stripline product beta_j beta_k would be inf: s21
+    # and eigenbranches would warn and read inf, so construction refuses
+    modes = [ModeSpec(label, 29.0, alpha, beta) for label, (alpha, beta) in zip("abc", dampings)]
+    with pytest.raises(InvalidSystem) as info:
+        HybridSystem(tuple(modes))
+    assert str(info.value) == "mode " + shown
+
+
 def test_canonical_three_mode_order_and_corner():
     m1 = ModeSpec("m1", 28.9, 0.02, 0.006)
     r = ModeSpec("r", 29.2, 0.01, 0.02)
