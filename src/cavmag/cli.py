@@ -138,17 +138,14 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet 
     if fit_cfg is None:
         raise ConfigError("config has no 'fit' block")
     template = config.template()
-    n_modes = len(config.modes)
     freq_step = (data.freqs[-1] - data.freqs[0]) / max(data.freqs.size - 1, 1)
-    n_ridges = fit_cfg.n_ridges if fit_cfg.n_ridges is not None else n_modes
+    n_ridges = fit_cfg.n_ridges if fit_cfg.n_ridges is not None else len(config.modes)
     min_separation = (fit_cfg.min_separation if fit_cfg.min_separation is not None
                       else max(4.0 * freq_step, 1e-9))
     ridges = None
     free: list[FreeParameter] = []
     for entry in fit_cfg.free:
-        name = entry["name"]
-        lower = float(entry["lower"])
-        upper = float(entry["upper"])
+        name, lower, upper = entry["name"], float(entry["lower"]), float(entry["upper"])
         if "initial" in entry:
             initial = float(entry["initial"])
         else:
@@ -175,10 +172,8 @@ def _default_initial(name, template, data, ridges) -> float:
         return coupling_guess_from_ridges(ridges, crossing_window(template, magnon))
     if kind in ("alpha", "beta"):
         return damping_guess_from_column(data) / 2.0
-    if kind == "omega":
-        return template.resonator.omega
-    material = template.magnon(labels[0]).material
-    return material.gamma if kind == "gamma" else material.four_pi_m
+    owner = template.resonator if kind == "omega" else template.magnon(labels[0]).material
+    return getattr(owner, kind)
 
 
 def _report_lines(result: FitResult, n_data: int, order: list[str]) -> list[str]:

@@ -173,6 +173,14 @@ def canonical_three_mode(
 # ── Kittel dispersion ──────────────────────────────────────────────────
 
 
+def _overflow_check(values, at, what: str, label: str | None) -> None:
+    """InvalidSystem naming the first point at which values is not finite."""
+    overflow = ~np.isfinite(values)
+    if np.any(overflow):
+        magnon = "" if label is None else f"magnon {label!r}: "
+        raise InvalidSystem(f"{magnon}Kittel {what}={format_float(at[overflow][0])}")
+
+
 def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
     """Ferromagnetic resonance frequency at applied field h (Oe).
 
@@ -182,18 +190,19 @@ def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
     overflows raises InvalidSystem naming the field, and the magnon when
     its label is given.
     """
+    return _kittel(material.gamma, material.four_pi_m, h, label)
+
+
+def _kittel(gamma, four_pi_m, h, label: str | None = None):
+    """kittel_frequency from the material constants themselves."""
     h_arr = np.asarray(h, dtype=float)
     bad = ~(np.isfinite(h_arr) & (h_arr >= 0.0))
     if np.any(bad):
         first = h if h_arr.ndim == 0 else h_arr[bad][0]
         raise NegativeField(f"applied field must be finite and >= 0, got {first!r}")
     with np.errstate(over="ignore"):
-        out = material.gamma * np.sqrt(h_arr * (h_arr + material.four_pi_m))
-    overflow = ~np.isfinite(out)
-    if np.any(overflow):
-        magnon = "" if label is None else f"magnon {label!r}: "
-        raise InvalidSystem(f"{magnon}Kittel frequency overflows at "
-                            f"h={format_float(h_arr[overflow][0])}")
+        out = gamma * np.sqrt(h_arr * (h_arr + four_pi_m))
+    _overflow_check(out, h_arr, "frequency overflows at h", label)
     return float(out) if h_arr.ndim == 0 else out
 
 
@@ -213,22 +222,21 @@ def field_for_frequency(material: KittelMaterial, omega, label: str | None = Non
     with np.errstate(over="ignore"):
         x = (w_arr / material.gamma) ** 2
         root = np.sqrt(m4 * m4 + 4.0 * x)
-    overflow = ~np.isfinite(root)
-    if np.any(overflow):
-        magnon = "" if label is None else f"magnon {label!r}: "
-        raise InvalidSystem(f"{magnon}Kittel field overflows at "
-                            f"omega={format_float(w_arr[overflow][0])}")
+    _overflow_check(root, w_arr, "field overflows at omega", label)
     out = 2.0 * x / (m4 + root)
     return float(out) if w_arr.ndim == 0 else out
 
 
-def kittel_slope(material: KittelMaterial, h):
-    """Local derivative d omega / d h of the Kittel branch at field h."""
+def kittel_slope(material: KittelMaterial, h, label: str | None = None):
+    """Local derivative d omega / d h of the Kittel branch at field h;
+    overflow raises InvalidSystem as in kittel_frequency."""
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr <= 0.0):
         raise NegativeField(f"slope needs a field > 0, got {h!r}")
     m4 = material.four_pi_m
-    out = material.gamma * (2.0 * h_arr + m4) / (2.0 * np.sqrt(h_arr * (h_arr + m4)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = material.gamma * (2.0 * h_arr + m4) / (2.0 * np.sqrt(h_arr * (h_arr + m4)))
+    _overflow_check(out, h_arr, "slope overflows at h", label)
     return float(out) if h_arr.ndim == 0 else out
 
 
@@ -265,14 +273,16 @@ def build_coupling_hamiltonian(system: HybridSystem) -> np.ndarray:
     passivity diagnostics rely on this to report on deliberately broken
     systems instead of raising.
     """
-    n = system.n
-    omega = np.array([m.omega for m in system.modes], dtype=float)
-    alpha = np.array([m.alpha for m in system.modes], dtype=float)
-    beta = np.array([m.beta for m in system.modes], dtype=float)
-    g = np.zeros((n, n), dtype=float)
+    omega, alpha, beta = np.array([(m.omega, m.alpha, m.beta) for m in system.modes], dtype=float).T
+    g = np.zeros((system.n, system.n))
     for (i, j), value in system.couplings.items():
-        g[i, j] = value
-        g[j, i] = value
+        g[i, j] = g[j, i] = value
+    return _coupling_matrix(omega, alpha, beta, g)
+
+
+def _coupling_matrix(omega, alpha, beta, g) -> np.ndarray:
+    """The coupling matrix from omega, alpha and beta per mode and the real
+    symmetric couplings g: the one expression behind every H."""
     loss = np.sqrt(np.outer(beta, beta))
     # the diagonal must be exactly alpha + beta, not sqrt(beta**2) + alpha
     np.fill_diagonal(loss, alpha + beta)

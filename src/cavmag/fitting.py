@@ -17,6 +17,10 @@ eigenvector.  beta enters only through sqrt(beta), whose derivative is
 infinite at the allowed bound 0, so the search steps in s = sqrt(beta)
 and reports sigma_beta = 2 s sigma_s.
 
+The box is validated once, when the FitProblem is built; evaluations
+re-validate nothing and build no template or system: each writes its
+candidate into a copy of the model arrays and builds H straight from them.
+
 Convergence contract: a fit has converged when an accepted step lowers
 the objective by at most FTOL_REL of its value, when a step measured in
 box units (its largest |step| / (upper - lower)) is at most XTOL, or
@@ -31,7 +35,7 @@ or Jacobian is not finite is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,9 +43,10 @@ from .errors import DegenerateData, DegenerateProblem, InvalidSystem
 from .sweep import (
     SpectrumMap,
     SystemTemplate,
-    _parabola_coefficients,
     _each_block,
-    hamiltonians,
+    _model_arrays,
+    _parabola_coefficients,
+    _stack,
 )
 
 FTOL_REL = 1e-10
@@ -163,10 +168,18 @@ class FreeParameter:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """A template plus the free parameters a fit may move."""
+    """A template plus the free parameters a fit may move.
+
+    The template must accept the initial point and both corners of the box
+    (all lower, all upper bounds).  Each of its checks is an interval in one
+    parameter or monotone in the dampings, so the whole box is then valid.
+    slots holds each parameter's (kind, mode slots in mode_order()).
+    """
 
     template: SystemTemplate
     free: tuple[FreeParameter, ...]
+    slots: tuple = field(init=False, repr=False, compare=False)
+    arrays: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.free, tuple):
@@ -175,6 +188,23 @@ class FitProblem:
         if len(set(names)) != len(names):
             raise InvalidSystem(f"duplicate free parameter names: {names}")
         apply_parameters(self.template, {p.name: p.initial for p in self.free})
+        for side in ("lower", "upper"):
+            try:
+                apply_parameters(self.template, {p.name: getattr(p, side) for p in self.free})
+            except InvalidSystem as exc:
+                raise InvalidSystem(f"free parameters at their {side} bounds: {exc}") from None
+        order = self.template.mode_order()
+        object.__setattr__(self, "slots", tuple(
+            (kind, tuple(order.index(label) for label in labels))
+            for kind, labels in map(split_parameter_name, names)))
+        object.__setattr__(self, "arrays", _model_arrays(self.template))
+
+    def arrays_at(self, values) -> dict:
+        """Copies of the model arrays (sweep._model_arrays) set to values."""
+        arrays = dict(self.arrays, **{kind: self.arrays[kind].copy() for kind, _ in self.slots})
+        for (kind, index), value in zip(self.slots, values):
+            arrays[kind][index] = arrays[kind][index[::-1]] = value  # g: (j, k) and (k, j)
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -205,36 +235,24 @@ def apply_parameters(template: SystemTemplate, values: dict[str, float]) -> Syst
     out = template
     for name, value in values.items():
         kind, labels = split_parameter_name(name)
+        value = float(value)
+        if kind == "omega" and labels != [out.resonator.label]:
+            raise InvalidSystem(f"omega is only free on the resonator, got {name!r}")
+        for label in labels if kind in ("g", "alpha", "beta") else ():
+            if label not in out.mode_order():
+                raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
         if kind == "g":
-            known = set(out.mode_order())
-            for label in labels:
-                if label not in known:
-                    raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
-            out = out.with_coupling(labels[0], labels[1], float(value))
-            continue
-        (label,) = labels
-        if kind == "omega":
-            if label != out.resonator.label:
-                raise InvalidSystem(f"omega is only free on the resonator, got {name!r}")
-            out = replace(out, resonator=replace(out.resonator, omega=float(value)))
-        elif kind in ("alpha", "beta"):
-            if label == out.resonator.label:
-                out = replace(out, resonator=replace(out.resonator, **{kind: float(value)}))
+            out = out.with_coupling(*labels, value)
+        elif labels[0] == out.resonator.label and kind in ("omega", "alpha", "beta"):
+            out = replace(out, resonator=replace(out.resonator, **{kind: value}))
+        else:  # a magnon's damping or material constant
+            magnon = out.magnon(labels[0])
+            if kind in ("alpha", "beta"):
+                magnon = replace(magnon, **{kind: value})
             else:
-                if label not in {m.label for m in out.magnons}:
-                    raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
-                magnons = tuple(
-                    replace(m, **{kind: float(value)}) if m.label == label else m
-                    for m in out.magnons
-                )
-                out = replace(out, magnons=magnons)
-        else:  # gamma or four_pi_m
-            magnon = out.magnon(label)
-            material = replace(magnon.material, **{kind: float(value)})
-            magnons = tuple(
-                replace(m, material=material) if m.label == label else m for m in out.magnons
-            )
-            out = replace(out, magnons=magnons)
+                magnon = replace(magnon, material=replace(magnon.material, **{kind: value}))
+            out = replace(out, magnons=tuple(magnon if m.label == magnon.label else m
+                                             for m in out.magnons))
     return out
 
 
@@ -308,42 +326,26 @@ def _standard_errors(x, lower, upper, f, normal, n_data) -> np.ndarray:
 # ── Parameter derivatives ──────────────────────────────────────────────
 
 
-def _free_slots(problem: FitProblem) -> list[tuple[str, list[int], str]]:
-    """(kind, mode indices in instantiation order, first label) per free parameter."""
-    order = problem.template.mode_order()
-    slots = []
-    for p in problem.free:
-        kind, labels = split_parameter_name(p.name)
-        slots.append((kind, [order.index(label) for label in labels], labels[0]))
-    return slots
-
-
-def _root_betas(template: SystemTemplate) -> np.ndarray:
-    """sqrt(beta) per mode, in instantiation order."""
-    beta = {m.label: m.beta for m in template.magnons}
-    beta[template.resonator.label] = template.resonator.beta
-    return np.sqrt([beta[label] for label in template.mode_order()])
-
-
-def _kittel_derivative(kind: str, material, h):
-    """d omega_K / d gamma or d omega_K / d four_pi_m at fields h (>= 0)."""
-    root = np.sqrt(h * (h + material.four_pi_m))
+def _kittel_derivative(kind: str, arrays: dict, k: int, h):
+    """d omega_K / d gamma or d omega_K / d four_pi_m of the magnon in slot
+    k at fields h (>= 0)."""
+    gamma, four_pi_m = arrays["gamma"][k], arrays["four_pi_m"][k]
+    root = np.sqrt(h * (h + four_pi_m))
     if kind == "gamma":
         return root
     # gamma h / (2 root): 0 at h = 0, where omega_K = 0 for every four_pi_m
-    return np.divide(material.gamma * h, 2.0 * root,
-                     out=np.zeros(np.shape(root)), where=root > 0.0)
+    return np.divide(gamma * h, 2.0 * root, out=np.zeros(np.shape(root)), where=root > 0.0)
 
 
-def _quadratic_forms(slots, template: SystemTemplate, z, z_root_beta, h) -> list:
-    """z^T (dH/dp) z per free parameter, elementwise over arrays.
+def _quadratic_forms(slots, arrays: dict, z, z_root_beta, h) -> list:
+    """z^T (dH/dp) z per free parameter of slots, elementwise over arrays.
 
     z holds the per-mode components and z_root_beta = sum_k sqrt(beta_k)
     z_k (only read for beta, where p is sqrt(beta)); h broadcasts
     against z.
     """
     forms = []
-    for kind, index, label in slots:
+    for kind, index in slots:
         zj = z[index[0]]
         if kind == "g":
             forms.append(2.0 * zj * z[index[1]])
@@ -354,12 +356,11 @@ def _quadratic_forms(slots, template: SystemTemplate, z, z_root_beta, h) -> list
         elif kind == "beta":  # dH/ds_j: -2i s_j at (j, j), -i s_k at (j, k) and (k, j)
             forms.append(-2j * zj * z_root_beta)
         else:
-            material = template.magnon(label).material
-            forms.append(zj * zj * _kittel_derivative(kind, material, h))
+            forms.append(zj * zj * _kittel_derivative(kind, arrays, index[0], h))
     return forms
 
 
-def _map_columns(slots, template: SystemTemplate, model, y, h) -> list:
+def _map_columns(slots, arrays: dict, model, y, h) -> list:
     """d s21/dp per free parameter over one block of the map.
 
     i y^T (dH/dp) y, plus 2 (dw/ds_j) . y = 2 sqrt(2) y_j for
@@ -367,9 +368,9 @@ def _map_columns(slots, template: SystemTemplate, model, y, h) -> list:
     per-mode solution arrays and h the block's fields as a column.
     """
     # sum_k sqrt(beta_k) y_k = s21 / sqrt(2), as w = sqrt(2) sqrt(beta)
-    forms = _quadratic_forms(slots, template, y, model / math.sqrt(2.0), h)
+    forms = _quadratic_forms(slots, arrays, y, model / math.sqrt(2.0), h)
     columns = []
-    for form, (kind, index, _) in zip(forms, slots):
+    for form, (kind, index) in zip(forms, slots):
         column = 1j * form
         if kind == "beta":
             column += 2.0 * math.sqrt(2.0) * y[index[0]]
@@ -377,14 +378,14 @@ def _map_columns(slots, template: SystemTemplate, model, y, h) -> list:
     return columns
 
 
-def _eigenvalue_derivatives(slots, template: SystemTemplate, v, h) -> np.ndarray:
+def _eigenvalue_derivatives(slots, arrays: dict, v, h) -> np.ndarray:
     """d lambda/dp = v^T (dH/dp) v / v^T v, shape (len(slots), len(v)).
 
     v holds one eigenvector per row, h its field; the result is not
     finite where v^T v = 0, as at an exceptional point.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        forms = _quadratic_forms(slots, template, list(v.T), v @ _root_betas(template), h)
+        forms = _quadratic_forms(slots, arrays, list(v.T), v @ np.sqrt(arrays["beta"]), h)
         return np.array(forms).reshape(len(slots), len(v)) / np.sum(v * v, axis=1)
 
 
@@ -399,40 +400,27 @@ def _optimize(evaluate, problem: FitProblem, n_data: int) -> FitResult:
     sqrt(beta).
     """
     names = [p.name for p in problem.free]
-    root = np.array([split_parameter_name(name)[0] == "beta" for name in names], dtype=bool)
+    root = np.array([kind == "beta" for kind, _ in problem.slots], dtype=bool)
 
     def values(u: np.ndarray) -> np.ndarray:
-        return np.where(root, u * u, u)
+        v = u.copy()
+        v[root] = u[root] * u[root]
+        return v
 
     def internal(v) -> np.ndarray:
         v = np.array(v, dtype=float)
-        return np.where(root, np.sqrt(v), v)
+        v[root] = np.sqrt(v[root])
+        return v
 
-    if not names:
-        residual = evaluate(np.empty(0))[0]
-        return FitResult(params={}, residual=residual, iterations=0,
-                         converged=math.isfinite(residual),
-                         stderr={}, history=(residual,))
-    lower = internal([p.lower for p in problem.free])
-    upper = internal([p.upper for p in problem.free])
-    x0 = np.clip(internal([p.initial for p in problem.free]), lower, upper)
+    lower, upper, x0 = (internal([getattr(p, side) for p in problem.free])
+                        for side in ("lower", "upper", "initial"))
     x, f, normal, iterations, converged, history = _levenberg_marquardt(
-        lambda u: evaluate(values(u)), x0, lower, upper)
+        lambda u: evaluate(values(u)), np.clip(x0, lower, upper), lower, upper)
     stderr = _standard_errors(x, lower, upper, f, normal, n_data)
-    stderr = np.where(root, 2.0 * x * stderr, stderr)
-    return FitResult(
-        params=dict(zip(names, values(x).tolist())),
-        residual=f,
-        iterations=iterations,
-        converged=converged,
-        stderr=dict(zip(names, stderr.tolist())),
-        history=tuple(history),
-    )
-
-
-def _candidate(problem: FitProblem, values: np.ndarray) -> SystemTemplate:
-    return apply_parameters(problem.template,
-                            {p.name: float(v) for p, v in zip(problem.free, values)})
+    stderr[root] *= 2.0 * x[root]
+    return FitResult(params=dict(zip(names, values(x).tolist())), residual=f,
+                     iterations=iterations, converged=converged,
+                     stderr=dict(zip(names, stderr.tolist())), history=tuple(history))
 
 
 def fit_branches(ridges: RidgeSet, problem: FitProblem) -> FitResult:
@@ -453,17 +441,16 @@ def fit_branches(ridges: RidgeSet, problem: FitProblem) -> FitResult:
     rows = np.repeat(np.arange(fields.size), counts[occupied])
     ridge = np.concatenate(ridges.peaks)
     h = fields[rows]
-    slots = _free_slots(problem)
 
     def evaluate(values: np.ndarray):
-        candidate = _candidate(problem, values)
-        eigenvalues, vectors = np.linalg.eig(hamiltonians(candidate, fields))
+        arrays = problem.arrays_at(values)
+        eigenvalues, vectors = np.linalg.eig(_stack(arrays, fields)[0])
         real = eigenvalues.real[rows]
         nearest = np.argmin(np.abs(ridge[:, None] - real), axis=1)
         residual = ridge - real[np.arange(ridge.size), nearest]
         f = float(residual @ residual)
         v = vectors[rows, :, nearest]  # the nearest eigenvalue's eigenvector
-        jac = -_eigenvalue_derivatives(slots, candidate, v, h).real
+        jac = -_eigenvalue_derivatives(problem.slots, arrays, v, h).real
         return f, jac @ residual, jac @ jac.T
 
     return _optimize(evaluate, problem, n_data)
@@ -483,25 +470,23 @@ def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
         raise DegenerateProblem(
             f"{data.values.size} map points cannot constrain {len(problem.free)} parameters"
         )
-    slots = _free_slots(problem)
+    slots = problem.slots
 
     def evaluate(values: np.ndarray):
-        candidate = _candidate(problem, values)
-        f = 0.0
-        grad = np.zeros(len(slots))
-        normal = np.zeros((len(slots), len(slots)))
+        arrays = problem.arrays_at(values)
+        f, grad, normal = 0.0, np.zeros(len(slots)), np.zeros((len(slots), len(slots)))
 
         def accumulate(block, model, y):
             nonlocal f, grad, normal
             misfit = (model - data.values[block]).view(np.float64).ravel()
             f += float(misfit @ misfit)
             if slots:
-                columns = _map_columns(slots, candidate, model, y, data.fields[block, None])
+                columns = _map_columns(slots, arrays, model, y, data.fields[block, None])
                 jac = np.stack(columns).view(np.float64).reshape(len(slots), -1)
                 grad += jac @ misfit
                 normal += jac @ jac.T
 
-        _each_block(candidate, data.fields, data.freqs, accumulate)
+        _each_block(*_stack(arrays, data.fields), data.fields, data.freqs, accumulate)
         return f, grad, normal
 
     return _optimize(evaluate, problem, n_data)

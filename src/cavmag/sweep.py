@@ -2,7 +2,9 @@
 
 A SystemTemplate is a hybrid system with the magnon frequencies left
 open; instantiating it at an applied field fills them in through the
-Kittel dispersion.  Sweeping the field then yields transmission maps
+Kittel dispersion.  Sweeps and fits build their field-stacked coupling
+matrices straight from the template's arrays (_model_arrays), with no
+per-field system objects.  Sweeping the field yields transmission maps
 (field x frequency grids of s21) and branch curves (sorted complex
 eigenvalues per field), from which anticrossing gaps are measured.
 """
@@ -20,15 +22,15 @@ from .core import (
     KittelMaterial,
     ModeSpec,
     _check_dampings,
+    _coupling_matrix,
     _kernel_work,
+    _kittel,
     _transmission,
-    build_coupling_hamiltonian,
     field_for_frequency,
     format_float,
     kittel_frequency,
     kittel_slope,
     sort_eigenvalues,
-    stripline_vector,
 )
 from .errors import (
     EigenFailure,
@@ -121,9 +123,7 @@ class SystemTemplate:
         raise InvalidSystem(f"no magnon labelled {label!r}")
 
     def with_coupling(self, a: str, b: str, g: float) -> "SystemTemplate":
-        updated = dict(self.couplings)
-        updated[(min(a, b), max(a, b))] = g
-        return replace(self, couplings=updated)
+        return replace(self, couplings={**self.couplings, (min(a, b), max(a, b)): g})
 
 
 def _check_axis(name: str, values) -> np.ndarray:
@@ -226,38 +226,56 @@ class AnticrossingReport:
 
 def instantiate(template: SystemTemplate, h: float) -> HybridSystem:
     """Hybrid system at applied field h: magnons get their Kittel frequency."""
-    by_label: dict[str, ModeSpec] = {template.resonator.label: template.resonator}
+    modes = {template.resonator.label: template.resonator}
     for m in template.magnons:
-        by_label[m.label] = ModeSpec(
-            label=m.label,
-            omega=kittel_frequency(m.material, h, m.label),
-            alpha=m.alpha,
-            beta=m.beta,
-        )
+        modes[m.label] = ModeSpec(m.label, kittel_frequency(m.material, h, m.label), m.alpha, m.beta)
+    index = {name: k for k, name in enumerate(template.mode_order())}
+    couplings = {(index[a], index[b]): g for (a, b), g in template.couplings.items()}
+    return HybridSystem(tuple(modes[name] for name in index), couplings)
+
+
+def _model_arrays(template: SystemTemplate) -> dict:
+    """The template as arrays keyed by parameter kind, in mode_order():
+    omega, alpha, beta, gamma and four_pi_m per mode (omega 0 at magnons,
+    gamma and four_pi_m 0 at the resonator), the symmetric coupling matrix
+    g, and magnons, the (slot, label) of each magnon."""
     order = template.mode_order()
-    index = {name: k for k, name in enumerate(order)}
-    couplings = {
-        (index[a], index[b]): g for (a, b), g in template.couplings.items()
-    }
-    return HybridSystem(tuple(by_label[name] for name in order), couplings)
+    res = template.resonator
+    rows = {res.label: (res.omega, res.alpha, res.beta, 0.0, 0.0)}
+    rows.update((m.label, (0.0, m.alpha, m.beta, m.material.gamma, m.material.four_pi_m))
+                for m in template.magnons)
+    columns = np.array([rows[label] for label in order], dtype=float).T
+    arrays = dict(zip(("omega", "alpha", "beta", "gamma", "four_pi_m"), columns))
+    index = {label: k for k, label in enumerate(order)}
+    g = arrays["g"] = np.zeros((len(order), len(order)))
+    for (a, b), value in template.couplings.items():
+        g[index[a], index[b]] = g[index[b], index[a]] = value
+    arrays["magnons"] = tuple((index[m.label], m.label) for m in template.magnons)
+    return arrays
+
+
+def _stack(arrays: dict, fields) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling matrices over fields, (len(fields), n, n), and the
+    stripline weights sqrt(2) sqrt(beta) of a model given as _model_arrays.
+    Per field only each magnon's diagonal slot is written: its Kittel
+    frequency minus i (alpha + beta)."""
+    fields = np.asarray(fields, dtype=float)
+    alpha, beta = arrays["alpha"], arrays["beta"]
+    base = _coupling_matrix(arrays["omega"], alpha, beta, arrays["g"])
+    hams = np.repeat(base[None], fields.size, axis=0)
+    for k, label in arrays["magnons"]:
+        omega = _kittel(arrays["gamma"][k], arrays["four_pi_m"][k], fields, label)
+        hams[:, k, k] = omega - 1j * (alpha[k] + beta[k])
+    return hams, math.sqrt(2.0) * np.sqrt(beta)
 
 
 def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
     """Coupling matrices over a field sweep, stacked to shape (len(fields), n, n).
 
     Row k equals build_coupling_hamiltonian(instantiate(template, fields[k]))
-    bit for bit.  The zero-field matrix supplies every field-independent
-    entry; only each magnon's diagonal slot, its Kittel frequency minus
-    i (alpha + beta), is written per field.
+    bit for bit, built from the template's arrays with no HybridSystem.
     """
-    fields = np.asarray(fields, dtype=float)
-    base = build_coupling_hamiltonian(instantiate(template, 0.0))
-    hams = np.repeat(base[None], fields.size, axis=0)
-    order = template.mode_order()
-    for m in template.magnons:
-        k = order.index(m.label)
-        hams[:, k, k] = kittel_frequency(m.material, fields, m.label) - 1j * (m.alpha + m.beta)
-    return hams
+    return _stack(_model_arrays(template), fields)[0]
 
 
 # Fields per block of the transmission kernel, so temporaries stay
@@ -265,38 +283,29 @@ def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
 _FIELD_BLOCK = 32
 
 
-def _each_block(template: SystemTemplate, fields: np.ndarray, freqs: np.ndarray, visit) -> None:
-    """Run the transmission kernel over checked axes, _FIELD_BLOCK fields
-    at a time, calling visit(block, values, x) on each block.
+def _each_block(hams, weights, fields: np.ndarray, freqs: np.ndarray, visit) -> None:
+    """Run the transmission kernel on a model's _stack over checked axes,
+    _FIELD_BLOCK fields at a time, calling visit(block, values, x) on each block.
 
     block is the slice of fields covered, values the block's (fields,
     freqs) transmission and x the kernel's per-mode solution arrays.
     Raises SingularResponse at the first offending point in row-major
     order, before visiting that point's block.
     """
-    hams = hamiltonians(template, fields)
-    weights = stripline_vector(instantiate(template, 0.0))
     # One work array for every block: a warm full_device compute_map then
     # takes 0-2.1k minor page faults whether or not a block's values and x
     # are freed before the next block runs.
     work = _kernel_work(hams.shape[-1], min(fields.size, _FIELD_BLOCK), freqs.size)
     for start in range(0, fields.size, _FIELD_BLOCK):
         block = slice(start, start + _FIELD_BLOCK)
-        values, x = _guarded_transmission(hams[block], weights, fields[block], freqs, work)
+        values, cond, x = _transmission(hams[block], weights, freqs, work)
+        bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
+        if bad.size:
+            i, j = bad[0]
+            raise SingularResponse(
+                f"response matrix numerically singular at h={format_float(fields[start + i])}, "
+                f"omega={format_float(freqs[j])} (estimated condition number {cond[i, j]:.3e})")
         visit(block, values, x)
-
-
-def _guarded_transmission(hams, weights, fields, freqs, work):
-    """(values, x) of the kernel, or SingularResponse naming the first bad point."""
-    values, cond, x = _transmission(hams, weights, freqs, work)
-    bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
-    if bad.size:
-        i, j = bad[0]
-        raise SingularResponse(
-            f"response matrix numerically singular at h={format_float(fields[i])}, "
-            f"omega={format_float(freqs[j])} (estimated condition number {cond[i, j]:.3e})"
-        )
-    return values, x
 
 
 def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
@@ -307,18 +316,16 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     SingularResponse is decided, as in s21, by the 2-norm condition
     number of the response matrix (an SVD), reported at the first
     offending point in row-major order.  A passivity bound only
-    pre-screens (core._cond_bound, per field): with H = C - i L, the
-    smallest singular value of M = i (omega I - H) is at least
-    dist(omega, eig C) - ||L||_2 (Weyl) and at least lambda_min(L), and
-    ||M||_2 <= |omega| + ||H||_F.  The SVD runs wherever that bound comes
-    within 10x of the limit.
+    pre-screens (core._cond_bound, per field): the SVD runs wherever that
+    bound comes within 10x of the limit.
     """
     spectrum = SpectrumMap(fields, freqs, np.empty((np.size(fields), np.size(freqs)), complex))
 
     def store(block, block_values, _x):
         spectrum.values[block] = block_values
 
-    _each_block(template, spectrum.fields, spectrum.freqs, store)
+    _each_block(*_stack(_model_arrays(template), spectrum.fields), spectrum.fields,
+                spectrum.freqs, store)
     return spectrum
 
 
@@ -426,9 +433,8 @@ def crossing_window(
     """
     h_c = crossing_field(template, label)
     g = abs(template.coupling(label, template.resonator.label))
-    magnon = template.magnon(label)
-    scale = max(2.0 * g, 0.05)
-    half = half_width_gaps * scale / kittel_slope(magnon.material, max(h_c, 1.0))
+    slope = kittel_slope(template.magnon(label).material, max(h_c, 1.0), label)
+    half = half_width_gaps * max(2.0 * g, 0.05) / slope
     return (max(h_c - half, 0.0), h_c + half)
 
 
@@ -440,6 +446,10 @@ def gap_at_crossing(
 ) -> AnticrossingReport:
     """Anticrossing gap of one magnon-resonator crossing on a dense local sweep."""
     lo, hi = crossing_window(template, label, half_width_gaps)
+    if not math.isfinite(hi):
+        g = format_float(template.coupling(label, template.resonator.label))
+        raise InvalidSystem(f"magnon {label!r}: gap window [{format_float(lo)}, "
+                            f"{format_float(hi)}] is not finite (coupling {g})")
     fields = np.linspace(lo, hi, points)
     curves = compute_branches(template, fields)
     return anticrossing_gap(curves, (float(fields[0]), float(fields[-1])))

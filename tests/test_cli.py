@@ -282,6 +282,30 @@ def test_fit_crossing_field_overflow_exits_2_naming_magnon(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["thickness", "fit"])
+def test_kittel_slope_overflow_exits_2_naming_magnon(tmp_path, capsys, command):
+    # gamma = 1e308 overflows the Kittel slope behind the crossing window,
+    # which sizes both the gap scan and the default coupling guess
+    data = tmp_path / "data.csv"
+    data_config = tmp_path / "data.config"
+    data_config.write_text(json.dumps(small_doc()), encoding="utf-8")
+    assert main(["map", "--config", str(data_config), "--out", str(data)]) == 0
+    doc = small_doc(fit={"method": "map",
+                         "free": [{"name": "g:cpw:yig", "lower": 0.05, "upper": 0.6}]},
+                    thickness={"slope": 0.002, "intercept": 0.1, "t_min": 5.0, "t_max": 100.0,
+                               "thicknesses": [20.0], "crosslink": {"slope": 0.5, "intercept": 0.1},
+                               "varied": "yig"})
+    doc["modes"][1]["material"]["gamma"] = 1e308
+    config = tmp_path / "overflow.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    argv = (["thickness", "--out", str(tmp_path / "t.csv")] if command == "thickness"
+            else ["fit", "--data", str(data)])
+    rc = main(argv + ["--config", str(config)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: magnon 'yig': Kittel slope overflows at h=1\n"
+
+
 def test_fit_without_fit_block_exits_2(tmp_path, small_config, capsys):
     data = tmp_path / "data.csv"
     assert main(["map", "--config", str(small_config), "--out", str(data)]) == 0
@@ -316,6 +340,18 @@ def test_thickness_single_row_and_maps_dir(tmp_path, capsys):
     assert (maps_dir / "map_t20.csv").exists()
     # trend fits need two rows, so a one-point series prints none
     assert "g2_of_t" not in capsys.readouterr().out
+
+
+def test_thickness_infinite_gap_window_exits_2_naming_magnon_and_coupling(tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "thickness.config").read_text(encoding="utf-8"))
+    doc["thickness"]["intercept"] = 1e308
+    doc["freq_grid"]["stop"] = 10000.0
+    config = tmp_path / "huge.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["thickness", "--config", str(config), "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: magnon 'yig': gap window [0, inf] is not finite (coupling 1e+308)\n")
 
 
 def test_thickness_without_linked_magnon_varies_only_the_named_one(tmp_path):

@@ -21,7 +21,6 @@ from cavmag.fitting import (
     FitProblem,
     FreeParameter,
     _eigenvalue_derivatives,
-    _free_slots,
     _map_columns,
     apply_parameters,
     fit_map,
@@ -32,6 +31,8 @@ from cavmag.sweep import (
     SystemTemplate,
     TemplateMagnon,
     _each_block,
+    _model_arrays,
+    _stack,
     compute_branches,
     compute_map,
     hamiltonians,
@@ -71,7 +72,7 @@ def value_of(template, name):
 
 def slots_of(template, name):
     value = value_of(template, name)
-    return _free_slots(FitProblem(template, (FreeParameter(name, 0.0, 2.0 * value + 1.0, value),)))
+    return FitProblem(template, (FreeParameter(name, 0.5 * value, 2.0 * value + 1.0, value),)).slots
 
 
 def central_difference(evaluate, template, name, rel_step=1e-6):
@@ -92,9 +93,10 @@ def central_difference(evaluate, template, name, rel_step=1e-6):
 
 def exact_map_column(template, name):
     slots = slots_of(template, name)
+    arrays = _model_arrays(template)
     columns = []
-    _each_block(template, FIELDS, FREQS, lambda block, model, y: columns.append(
-        _map_columns(slots, template, model, y, FIELDS[block, None])[0]))
+    _each_block(*_stack(arrays, FIELDS), FIELDS, FREQS, lambda block, model, y: columns.append(
+        _map_columns(slots, arrays, model, y, FIELDS[block, None])[0]))
     return np.concatenate(columns)
 
 
@@ -105,7 +107,7 @@ def sorted_eigen_derivatives(template, name):
     for k, (row, vecs) in enumerate(zip(values, vectors)):
         order = [int(np.flatnonzero(row == value)[0]) for value in sort_eigenvalues(row)]
         h = np.full(len(order), FIELDS[k])
-        rows.append(_eigenvalue_derivatives(slots_of(template, name), template,
+        rows.append(_eigenvalue_derivatives(slots_of(template, name), _model_arrays(template),
                                             vecs[:, order].T, h)[0])
     return np.array(rows)
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cavmag.core import PERMALLOY, YIG, ModeSpec
+from cavmag import fitting, sweep
+from cavmag.core import PERMALLOY, YIG, HybridSystem, KittelMaterial, ModeSpec
 from cavmag.errors import (
     DegenerateData,
     DegenerateProblem,
@@ -298,3 +299,85 @@ def test_apply_parameters_accepts_a_magnon_damping_at_its_current_value():
     out = apply_parameters(template, {"alpha:yig": 0.005, "beta:yig": 0.004})
     assert out == template
     FitProblem(template, (FreeParameter("beta:yig", 0.0, 0.01, 0.004),))
+
+
+# ── The parameter box, validated once ──────────────────────────────────
+
+
+def two_magnon_template():
+    return SystemTemplate(
+        resonator=ModeSpec("cpw", 29.2, 0.01, 0.02),
+        magnons=(TemplateMagnon("py", 0.02, 0.006, PERMALLOY),
+                 TemplateMagnon("yig", 0.005, 0.004, YIG)),
+        couplings={("py", "cpw"): 0.2, ("cpw", "yig"): 0.21},
+    )
+
+
+@pytest.mark.parametrize("make, free, message", [
+    (two_magnon_template, FreeParameter("g:py:yig", 0.0, 0.1, 0.0),
+     "free parameters at their upper bounds: two-magnon templates are resonator-mediated"),
+    (one_magnon_template, FreeParameter("gamma:yig", 0.0, 0.05, 0.0176),
+     "free parameters at their lower bounds: material constant gamma must be finite and > 0"),
+    (one_magnon_template, FreeParameter("beta:cpw", 0.0, 1e300, 0.02),
+     "free parameters at their upper bounds: mode 'cpw': damping overflows the coupling matrix"),
+])
+def test_fit_box_the_template_rejects_fails_on_construction(make, free, message):
+    # each box holds a valid initial point, so only a check of the whole
+    # box, made before any evaluation, can reject it
+    with pytest.raises(InvalidSystem) as info:
+        FitProblem(make(), (free,))
+    assert str(info.value).startswith(message)
+
+
+def test_negative_coupling_bounds_fit_without_warnings():
+    # only beta is searched in sqrt(beta); RuntimeWarnings fail the suite
+    truth = one_magnon_template(g=0.25)
+    data = compute_map(truth, np.linspace(850.0, 1150.0, 31), np.linspace(28.2, 30.2, 41))
+    problem = FitProblem(truth, (FreeParameter("g:cpw:yig", -1.0, 1.0, 0.2),
+                                 FreeParameter("beta:yig", 0.0, 0.02, 0.003)))
+    result = fit_map(data, problem)
+    assert result.converged
+    assert abs(result.params["g:cpw:yig"] - 0.25) <= 1e-8 * 0.25
+
+
+def test_parameter_past_the_square_root_of_the_float_range_fits_without_warnings():
+    # only beta's search coordinate is squared: 4 pi M = 1e200 squared overflows
+    template = SystemTemplate(
+        resonator=ModeSpec("cpw", 29.2, 0.01, 0.02),
+        magnons=(TemplateMagnon("yig", 0.005, 0.004, KittelMaterial(1.76e-2, 1e200)),),
+        couplings={("cpw", "yig"): 0.25},
+    )
+    data = compute_map(template, np.linspace(0.0, 1e-190, 5), np.linspace(28.2, 30.2, 11))
+    free = FreeParameter("four_pi_m:yig", 1e199, 1e201, 1e200)
+    result = fit_map(data, FitProblem(template, (free,)))
+    assert result.converged
+    assert result.params["four_pi_m:yig"] == 1e200
+
+
+def test_fit_evaluations_build_no_model_objects(monkeypatch):
+    truth = two_magnon_template()
+    fields = np.concatenate([np.linspace(800.0, 1200.0, 12), np.linspace(5600.0, 6100.0, 12)])
+    data = compute_map(truth, fields, np.linspace(28.2, 30.2, 41))
+    ridges = extract_ridges(data, 3, 0.1)
+    free = (FreeParameter("g:py:cpw", 0.1, 0.3, 0.21),
+            FreeParameter("omega:cpw", 29.0, 29.4, 29.21),
+            FreeParameter("alpha:yig", 0.001, 0.01, 0.0051),
+            FreeParameter("beta:cpw", 0.01, 0.03, 0.021),
+            FreeParameter("gamma:yig", 0.017, 0.018, 0.01761),
+            FreeParameter("four_pi_m:py", 10000.0, 12000.0, 10910.0))
+    problem = FitProblem(truth, free)
+    built = []
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls in (SystemTemplate, TemplateMagnon, HybridSystem, ModeSpec, KittelMaterial):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(sweep, "instantiate", counting("instantiate", sweep.instantiate))
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+    for result in (fit_map(data, problem), fit_branches(ridges, problem)):
+        assert result.iterations >= 1
+    assert built == []

@@ -16,6 +16,7 @@ from cavmag.core import (
     format_float,
     kittel_frequency,
     s21,
+    stripline_vector,
 )
 from cavmag.errors import (
     EigenFailure,
@@ -27,8 +28,10 @@ from cavmag.errors import (
     WindowTooNarrow,
 )
 from cavmag import sweep
+from cavmag.fitting import FitProblem, FreeParameter, apply_parameters
 from cavmag.sweep import (
     _FIELD_BLOCK,
+    _stack,
     BranchCurves,
     SpectrumMap,
     SystemTemplate,
@@ -202,6 +205,23 @@ def test_field_hamiltonians_match_instantiated_systems_bitwise(make):
     assert hams.shape == (fields.size, len(template.magnons) + 1, len(template.magnons) + 1)
     for h, ham in zip(fields, hams):
         assert ham.tobytes() == build_coupling_hamiltonian(instantiate(template, h)).tobytes()
+    if len(template.magnons) < 2:
+        return
+    # A fit writes each kind of parameter straight into the template's
+    # arrays; its stack and weights must equal the validated template's.
+    candidates = [("g:cpw:yig", 0.23), ("omega:cpw", 29.31), ("alpha:yig", 0.0061),
+                  ("beta:cpw", 0.027), ("beta:py", 0.0071), ("gamma:yig", 0.0171),
+                  ("four_pi_m:py", 10333.0)]
+    if len(template.magnons) > 2:
+        candidates.append(("g:yig:cofe", 0.031))  # a pair the template leaves uncoupled
+    for name, value in candidates:
+        problem = FitProblem(template, (FreeParameter(name, 0.5 * value, 2.0 * value, value),))
+        fit_hams, fit_weights = _stack(problem.arrays_at(np.array([value])), fields)
+        candidate = apply_parameters(template, {name: value})
+        assert fit_hams.tobytes() == hamiltonians(candidate, fields).tobytes(), name
+        for h, ham in zip(fields, fit_hams):
+            assert ham.tobytes() == build_coupling_hamiltonian(instantiate(candidate, h)).tobytes()
+        assert fit_weights.tobytes() == stripline_vector(instantiate(candidate, 0.0)).tobytes()
 
 
 @pytest.mark.parametrize("make", [one_magnon_template, three_magnon_template])
