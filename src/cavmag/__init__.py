@@ -38,7 +38,6 @@ from .fitting import (
     FreeParameter,
     LinearFit,
     RidgeSet,
-    apply_parameters,
     extract_ridges,
     fit_branches,
     fit_map,
@@ -77,7 +76,7 @@ __all__ = [
     "NegativeCoupling", "NegativeField", "NegativeFrequency", "NoMinimum",
     "NoiseSpec", "PERMALLOY", "PassivityReport", "RidgeSet", "SingularResponse",
     "SpectrumMap", "SystemTemplate", "TemplateMagnon", "ThicknessModel",
-    "WindowTooNarrow", "YIG", "anticrossing_gap", "apply_parameters",
+    "WindowTooNarrow", "YIG", "anticrossing_gap",
     "build_coupling_hamiltonian", "canonical_three_mode", "compute_branches",
     "compute_map", "crossing_field", "crossing_window", "eigenbranches",
     "extract_ridges", "field_for_frequency", "fit_branches", "fit_map",

@@ -86,17 +86,21 @@ class KittelMaterial:
                 raise InvalidSystem(f"material constant {name} must be finite and > 0, got {value!r}")
 
 
-def _check_dampings(modes) -> None:
+def _check_dampings(labels, alpha, beta) -> None:
     """InvalidSystem for the first mode whose alpha + beta, or whose
     stripline product beta_j beta_k with any mode, overflows the coupling
-    matrix.  modes need label, alpha and beta; a damping that is not
-    finite in the first place is left to the mode's own check."""
-    finite = [m for m in modes if math.isfinite(m.alpha) and math.isfinite(m.beta)]
-    beta_max = max((m.beta for m in finite), default=0.0)  # bounds every beta_j beta_k
-    for m in finite:
-        if not (math.isfinite(m.alpha + m.beta) and math.isfinite(m.beta * beta_max)):
-            raise InvalidSystem(f"mode {m.label!r}: damping overflows the coupling matrix "
-                                f"(alpha={format_float(m.alpha)}, beta={format_float(m.beta)})")
+    matrix.  labels, alpha and beta run over the modes; both overflows
+    only grow with the dampings.  A damping that is not finite in the first
+    place is left to the mode's own check."""
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    finite = np.isfinite(alpha) & np.isfinite(beta)
+    beta_max = beta[finite].max(initial=0.0)  # bounds every beta_j beta_k
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where not finite
+        bad = finite & ~(np.isfinite(alpha + beta) & np.isfinite(beta * beta_max))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidSystem(f"mode {labels[k]!r}: damping overflows the coupling matrix "
+                            f"(alpha={format_float(alpha[k])}, beta={format_float(beta[k])})")
 
 
 # Film constants used by the shipped example configurations.
@@ -125,7 +129,7 @@ class HybridSystem:
         labels = [m.label for m in self.modes]
         if len(set(labels)) != n:
             raise InvalidSystem(f"mode labels must be unique, got {labels}")
-        _check_dampings(self.modes)
+        _check_dampings(labels, [m.alpha for m in self.modes], [m.beta for m in self.modes])
         normalized: dict[tuple[int, int], float] = {}
         for key, g in self.couplings.items():
             i, j = key

@@ -17,9 +17,10 @@ eigenvector.  beta enters only through sqrt(beta), whose derivative is
 infinite at the allowed bound 0, so the search steps in s = sqrt(beta)
 and reports sigma_beta = 2 s sigma_s.
 
-The box is validated once, when the FitProblem is built; evaluations
+The box is validated once, when the FitProblem is built, without
+building a template (see FitProblem for the rule).  Evaluations
 re-validate nothing and build no template or system: each writes its
-candidate into a copy of the model arrays and builds H straight from them.
+candidate into a copy of the template's arrays and builds H from them.
 
 Convergence contract: a fit has converged when an accepted step lowers
 the objective by at most FTOL_REL of its value, when a step measured in
@@ -35,23 +36,19 @@ or Jacobian is not finite is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _check_dampings
 from .errors import DegenerateData, DegenerateProblem, InvalidSystem
-from .sweep import (
-    SpectrumMap,
-    SystemTemplate,
-    _each_block,
-    _model_arrays,
-    _parabola_coefficients,
-    _stack,
-)
+from .sweep import SpectrumMap, SystemTemplate, _each_block, _parabola_coefficients, _stack
 
 FTOL_REL = 1e-10
 XTOL = 1e-12
 MAX_ITERATIONS = 100
+# The field column whose strongest peak width damping_guess_from_column reads.
+DAMPING_GUESS_COLUMN = -1
 # Starting damping, relative to the diagonal scaling: close to Gauss-Newton.
 _MU_START = 1e-3
 
@@ -140,7 +137,9 @@ class FreeParameter:
 
     Names follow 'kind:label' or 'g:labelA:labelB': couplings by label
     pair, alpha/beta by mode label, omega for the resonator, gamma and
-    four_pi_m for a magnon's material.
+    four_pi_m for a magnon's material.  Bounds of alpha, beta and omega
+    must be >= 0, those of gamma and four_pi_m > 0; couplings may take
+    any sign.
     """
 
     name: str
@@ -162,24 +161,29 @@ class FreeParameter:
             raise InvalidSystem(
                 f"parameter {self.name!r}: initial {self.initial} outside [{self.lower}, {self.upper}]"
             )
-        if kind in ("alpha", "beta", "omega", "gamma", "four_pi_m") and self.lower < 0:
+        if kind in ("alpha", "beta", "omega") and self.lower < 0:
             raise InvalidSystem(f"parameter {self.name!r}: lower bound must be >= 0")
+        if kind in ("gamma", "four_pi_m") and not self.lower > 0:
+            raise InvalidSystem(f"parameter {self.name!r}: lower bound must be > 0")
 
 
 @dataclass(frozen=True)
 class FitProblem:
     """A template plus the free parameters a fit may move.
 
-    The template must accept the initial point and both corners of the box
-    (all lower, all upper bounds).  Each of its checks is an interval in one
-    parameter or monotone in the dampings, so the whole box is then valid.
-    slots holds each parameter's (kind, mode slots in mode_order()).
+    Box rule: each name must resolve to modes of the template (omega only
+    on the resonator, gamma and four_pi_m only on a magnon), the template
+    must accept each free coupling at both of its bounds, and the dampings
+    at their upper bounds must not overflow the coupling matrix.  Every
+    other template check is an interval in one parameter that
+    FreeParameter's bounds keep, and the overflow grows with the dampings,
+    so every point of the box is then a valid template.  slots holds each
+    parameter's (kind, mode slots in mode_order()).
     """
 
     template: SystemTemplate
     free: tuple[FreeParameter, ...]
     slots: tuple = field(init=False, repr=False, compare=False)
-    arrays: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.free, tuple):
@@ -187,21 +191,36 @@ class FitProblem:
         names = [p.name for p in self.free]
         if len(set(names)) != len(names):
             raise InvalidSystem(f"duplicate free parameter names: {names}")
-        apply_parameters(self.template, {p.name: p.initial for p in self.free})
-        for side in ("lower", "upper"):
-            try:
-                apply_parameters(self.template, {p.name: getattr(p, side) for p in self.free})
-            except InvalidSystem as exc:
-                raise InvalidSystem(f"free parameters at their {side} bounds: {exc}") from None
-        order = self.template.mode_order()
-        object.__setattr__(self, "slots", tuple(
-            (kind, tuple(order.index(label) for label in labels))
-            for kind, labels in map(split_parameter_name, names)))
-        object.__setattr__(self, "arrays", _model_arrays(self.template))
+        template = self.template
+        order = template.mode_order()
+        slots = []
+        for p in self.free:
+            kind, labels = split_parameter_name(p.name)
+            for label in labels if kind in ("g", "alpha", "beta") else ():
+                if label not in order:
+                    raise InvalidSystem(f"parameter {p.name!r} names unknown mode {label!r}")
+            if kind == "omega" and labels != [template.resonator.label]:
+                raise InvalidSystem(f"omega is only free on the resonator, got {p.name!r}")
+            if kind == "g":
+                for side in ("lower", "upper"):
+                    try:
+                        template._check_coupling(*labels, getattr(p, side))
+                    except InvalidSystem as exc:
+                        raise InvalidSystem(f"free parameters at their {side} bounds: {exc}") from None
+            if kind in ("gamma", "four_pi_m"):
+                template.magnon(labels[0])
+            slots.append((kind, tuple(order.index(label) for label in labels)))
+        object.__setattr__(self, "slots", tuple(slots))
+        upper = self.arrays_at([p.upper for p in self.free])
+        try:
+            _check_dampings(order, upper["alpha"], upper["beta"])
+        except InvalidSystem as exc:
+            raise InvalidSystem(f"free parameters at their upper bounds: {exc}") from None
 
     def arrays_at(self, values) -> dict:
-        """Copies of the model arrays (sweep._model_arrays) set to values."""
-        arrays = dict(self.arrays, **{kind: self.arrays[kind].copy() for kind, _ in self.slots})
+        """Copies of the template's arrays (SystemTemplate.arrays) set to values."""
+        arrays = self.template.arrays
+        arrays = dict(arrays, **{kind: arrays[kind].copy() for kind, _ in self.slots})
         for (kind, index), value in zip(self.slots, values):
             arrays[kind][index] = arrays[kind][index[::-1]] = value  # g: (j, k) and (k, j)
         return arrays
@@ -228,32 +247,6 @@ class FitResult:
     converged: bool
     stderr: dict[str, float]
     history: tuple[float, ...]
-
-
-def apply_parameters(template: SystemTemplate, values: dict[str, float]) -> SystemTemplate:
-    """Template with the named free parameters replaced by new values."""
-    out = template
-    for name, value in values.items():
-        kind, labels = split_parameter_name(name)
-        value = float(value)
-        if kind == "omega" and labels != [out.resonator.label]:
-            raise InvalidSystem(f"omega is only free on the resonator, got {name!r}")
-        for label in labels if kind in ("g", "alpha", "beta") else ():
-            if label not in out.mode_order():
-                raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
-        if kind == "g":
-            out = out.with_coupling(*labels, value)
-        elif labels[0] == out.resonator.label and kind in ("omega", "alpha", "beta"):
-            out = replace(out, resonator=replace(out.resonator, **{kind: value}))
-        else:  # a magnon's damping or material constant
-            magnon = out.magnon(labels[0])
-            if kind in ("alpha", "beta"):
-                magnon = replace(magnon, **{kind: value})
-            else:
-                magnon = replace(magnon, material=replace(magnon.material, **{kind: value}))
-            out = replace(out, magnons=tuple(magnon if m.label == magnon.label else m
-                                             for m in out.magnons))
-    return out
 
 
 # ── Box-constrained Levenberg-Marquardt ────────────────────────────────
@@ -415,7 +408,7 @@ def _optimize(evaluate, problem: FitProblem, n_data: int) -> FitResult:
     lower, upper, x0 = (internal([getattr(p, side) for p in problem.free])
                         for side in ("lower", "upper", "initial"))
     x, f, normal, iterations, converged, history = _levenberg_marquardt(
-        lambda u: evaluate(values(u)), np.clip(x0, lower, upper), lower, upper)
+        lambda u: evaluate(values(u)), x0, lower, upper)
     stderr = _standard_errors(x, lower, upper, f, normal, n_data)
     stderr[root] *= 2.0 * x[root]
     return FitResult(params=dict(zip(names, values(x).tolist())), residual=f,
@@ -551,14 +544,15 @@ def coupling_guess_from_ridges(ridges: RidgeSet, window: tuple[float, float]) ->
     return best / 2.0
 
 
-def damping_guess_from_column(spectrum: SpectrumMap, field_index: int = -1) -> float:
-    """Total damping (alpha + beta) from the FWHM of |s21|^2 in one column.
+def damping_guess_from_column(spectrum: SpectrumMap) -> float:
+    """Total damping (alpha + beta) from the FWHM of |s21|^2 in the column
+    DAMPING_GUESS_COLUMN.
 
     The strongest peak's full width at half maximum equals twice the
     total damping of an isolated mode; callers splitting the result
     between alpha and beta typically halve it again.
     """
-    power = np.abs(spectrum.values[field_index]) ** 2
+    power = np.abs(spectrum.values[DAMPING_GUESS_COLUMN]) ** 2
     freqs = spectrum.freqs
     k = int(np.argmax(power))
     half = power[k] / 2.0

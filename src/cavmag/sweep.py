@@ -2,8 +2,9 @@
 
 A SystemTemplate is a hybrid system with the magnon frequencies left
 open; instantiating it at an applied field fills them in through the
-Kittel dispersion.  Sweeps and fits build their field-stacked coupling
-matrices straight from the template's arrays (_model_arrays), with no
+Kittel dispersion.  A template validates once, on construction, into a
+read-only table of arrays (SystemTemplate.arrays), from which sweeps and
+fits build their field-stacked coupling matrices (_stack) with no
 per-field system objects.  Sweeping the field yields transmission maps
 (field x frequency grids of s21) and branch curves (sorted complex
 eigenvalues per field), from which anticrossing gaps are measured.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -71,40 +73,65 @@ class SystemTemplate:
     order is [magnons[0], resonator, magnons[1], magnons[2], ...], which
     reproduces the canonical three-mode layout for two magnons; in that
     case a direct magnon-magnon coupling is rejected.
+
+    arrays is the model as a read-only table in mode_order(): omega,
+    alpha, beta, gamma and four_pi_m per mode (omega 0 at magnons, gamma
+    and four_pi_m 0 at the resonator), the symmetric coupling matrix g,
+    and magnons, the (slot, label) of each magnon.
     """
 
     resonator: ModeSpec
     magnons: tuple[TemplateMagnon, ...]
     couplings: dict[tuple[str, str], float] = field(default_factory=dict)
+    arrays: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.magnons, tuple):
             object.__setattr__(self, "magnons", tuple(self.magnons))
-        _check_dampings((self.resonator, *self.magnons))
         labels = self.mode_order()
+        res = self.resonator
+        rows = [(0.0, m.alpha, m.beta, m.material.gamma, m.material.four_pi_m) for m in self.magnons]
+        rows.insert(1, (res.omega, res.alpha, res.beta, 0.0, 0.0))  # slot 0 if no magnon
+        arrays = dict(zip(("omega", "alpha", "beta", "gamma", "four_pi_m"),
+                          np.array(rows, dtype=float).T))
+        _check_dampings(labels, arrays["alpha"], arrays["beta"])
         if len(set(labels)) != len(labels):
             raise InvalidSystem(f"mode labels must be unique, got {labels}")
-        magnon_labels = {m.label for m in self.magnons}
         normalized: dict[tuple[str, str], float] = {}
-        for pair, g in self.couplings.items():
-            a, b = pair
-            for name in (a, b):
-                if name not in labels:
-                    raise InvalidSystem(f"coupling names unknown mode {name!r}")
-            if a == b:
-                raise InvalidSystem(f"self-coupling on {a!r}")
-            if isinstance(g, complex) or not isinstance(g, (int, float)) or not math.isfinite(g):
-                raise InvalidSystem(f"coupling {pair} must be a finite real, got {g!r}")
-            if len(self.magnons) == 2 and a in magnon_labels and b in magnon_labels and g != 0.0:
-                raise InvalidSystem(
-                    "two-magnon templates are resonator-mediated: "
-                    f"direct coupling {pair} is not allowed"
-                )
+        for (a, b), value in self.couplings.items():
+            self._check_coupling(a, b, value)
             key = (min(a, b), max(a, b))
-            if key in normalized and normalized[key] != float(g):
+            if key in normalized and normalized[key] != float(value):
                 raise InvalidSystem(f"coupling pair {key} given twice with different values")
-            normalized[key] = float(g)
+            normalized[key] = float(value)
         object.__setattr__(self, "couplings", normalized)
+        index = {label: k for k, label in enumerate(labels)}
+        g = arrays["g"] = np.zeros((len(labels), len(labels)))
+        for (a, b), value in normalized.items():
+            g[index[a], index[b]] = g[index[b], index[a]] = value
+        for column in arrays.values():
+            column.flags.writeable = False
+        arrays["magnons"] = tuple((index[m.label], m.label) for m in self.magnons)
+        object.__setattr__(self, "arrays", MappingProxyType(arrays))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled: copies rebuild the table
+        return SystemTemplate, (self.resonator, self.magnons, self.couplings)
+
+    def _check_coupling(self, a: str, b: str, g) -> None:
+        """InvalidSystem unless g may couple modes a and b: both exist and
+        differ, g is a finite real, and g is 0 between the two magnons of a
+        two-magnon template."""
+        labels = self.mode_order()
+        for name in (a, b):
+            if name not in labels:
+                raise InvalidSystem(f"coupling names unknown mode {name!r}")
+        if a == b:
+            raise InvalidSystem(f"self-coupling on {a!r}")
+        if isinstance(g, complex) or not isinstance(g, (int, float)) or not math.isfinite(g):
+            raise InvalidSystem(f"coupling {(a, b)} must be a finite real, got {g!r}")
+        if len(self.magnons) == 2 and {a, b} == {m.label for m in self.magnons} and g != 0.0:
+            raise InvalidSystem("two-magnon templates are resonator-mediated: "
+                                f"direct coupling {(a, b)} is not allowed")
 
     def mode_order(self) -> list[str]:
         """Labels in instantiation order."""
@@ -234,31 +261,12 @@ def instantiate(template: SystemTemplate, h: float) -> HybridSystem:
     return HybridSystem(tuple(modes[name] for name in index), couplings)
 
 
-def _model_arrays(template: SystemTemplate) -> dict:
-    """The template as arrays keyed by parameter kind, in mode_order():
-    omega, alpha, beta, gamma and four_pi_m per mode (omega 0 at magnons,
-    gamma and four_pi_m 0 at the resonator), the symmetric coupling matrix
-    g, and magnons, the (slot, label) of each magnon."""
-    order = template.mode_order()
-    res = template.resonator
-    rows = {res.label: (res.omega, res.alpha, res.beta, 0.0, 0.0)}
-    rows.update((m.label, (0.0, m.alpha, m.beta, m.material.gamma, m.material.four_pi_m))
-                for m in template.magnons)
-    columns = np.array([rows[label] for label in order], dtype=float).T
-    arrays = dict(zip(("omega", "alpha", "beta", "gamma", "four_pi_m"), columns))
-    index = {label: k for k, label in enumerate(order)}
-    g = arrays["g"] = np.zeros((len(order), len(order)))
-    for (a, b), value in template.couplings.items():
-        g[index[a], index[b]] = g[index[b], index[a]] = value
-    arrays["magnons"] = tuple((index[m.label], m.label) for m in template.magnons)
-    return arrays
-
-
 def _stack(arrays: dict, fields) -> tuple[np.ndarray, np.ndarray]:
     """The coupling matrices over fields, (len(fields), n, n), and the
-    stripline weights sqrt(2) sqrt(beta) of a model given as _model_arrays.
-    Per field only each magnon's diagonal slot is written: its Kittel
-    frequency minus i (alpha + beta)."""
+    stripline weights sqrt(2) sqrt(beta) of a model given as
+    SystemTemplate.arrays.  Per field only each magnon's diagonal slot is
+    written: its Kittel frequency minus i (alpha + beta).  Row k equals
+    build_coupling_hamiltonian(instantiate(template, fields[k])) bit for bit."""
     fields = np.asarray(fields, dtype=float)
     alpha, beta = arrays["alpha"], arrays["beta"]
     base = _coupling_matrix(arrays["omega"], alpha, beta, arrays["g"])
@@ -267,15 +275,6 @@ def _stack(arrays: dict, fields) -> tuple[np.ndarray, np.ndarray]:
         omega = _kittel(arrays["gamma"][k], arrays["four_pi_m"][k], fields, label)
         hams[:, k, k] = omega - 1j * (alpha[k] + beta[k])
     return hams, math.sqrt(2.0) * np.sqrt(beta)
-
-
-def hamiltonians(template: SystemTemplate, fields) -> np.ndarray:
-    """Coupling matrices over a field sweep, stacked to shape (len(fields), n, n).
-
-    Row k equals build_coupling_hamiltonian(instantiate(template, fields[k]))
-    bit for bit, built from the template's arrays with no HybridSystem.
-    """
-    return _stack(_model_arrays(template), fields)[0]
 
 
 # Fields per block of the transmission kernel, so temporaries stay
@@ -324,15 +323,14 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     def store(block, block_values, _x):
         spectrum.values[block] = block_values
 
-    _each_block(*_stack(_model_arrays(template), spectrum.fields), spectrum.fields,
-                spectrum.freqs, store)
+    _each_block(*_stack(template.arrays, spectrum.fields), spectrum.fields, spectrum.freqs, store)
     return spectrum
 
 
 def compute_branches(template: SystemTemplate, fields) -> BranchCurves:
     """Sorted complex eigenvalue branches over a field sweep."""
     curves = BranchCurves(fields, np.empty((np.size(fields), len(template.mode_order())), complex))
-    hams = hamiltonians(template, curves.fields)
+    hams = _stack(template.arrays, curves.fields)[0]
     try:
         values = np.linalg.eigvals(hams)
     except np.linalg.LinAlgError:
@@ -420,37 +418,35 @@ def crossing_field(template: SystemTemplate, label: str) -> float:
     return field_for_frequency(magnon.material, template.resonator.omega, label)
 
 
-def crossing_window(
-    template: SystemTemplate,
-    label: str,
-    half_width_gaps: float = 8.0,
-) -> tuple[float, float]:
+# Half width of a crossing window, in anticrossing gaps.
+WINDOW_HALF_WIDTH_GAPS = 8.0
+# Fields of the dense sweep across a crossing window that gap_at_crossing scans.
+GAP_SWEEP_POINTS = 201
+
+
+def crossing_window(template: SystemTemplate, label: str) -> tuple[float, float]:
     """Field window straddling a magnon-resonator crossing.
 
-    The half width is half_width_gaps anticrossing gaps translated to
-    field through the local Kittel slope (with a floor for weak
+    The half width is WINDOW_HALF_WIDTH_GAPS anticrossing gaps translated
+    to field through the local Kittel slope (with a floor for weak
     coupling).
     """
     h_c = crossing_field(template, label)
     g = abs(template.coupling(label, template.resonator.label))
     slope = kittel_slope(template.magnon(label).material, max(h_c, 1.0), label)
-    half = half_width_gaps * max(2.0 * g, 0.05) / slope
+    half = WINDOW_HALF_WIDTH_GAPS * max(2.0 * g, 0.05) / slope
     return (max(h_c - half, 0.0), h_c + half)
 
 
-def gap_at_crossing(
-    template: SystemTemplate,
-    label: str,
-    points: int = 201,
-    half_width_gaps: float = 8.0,
-) -> AnticrossingReport:
-    """Anticrossing gap of one magnon-resonator crossing on a dense local sweep."""
-    lo, hi = crossing_window(template, label, half_width_gaps)
+def gap_at_crossing(template: SystemTemplate, label: str) -> AnticrossingReport:
+    """Anticrossing gap of one magnon-resonator crossing on a dense sweep
+    of GAP_SWEEP_POINTS fields across its crossing_window."""
+    lo, hi = crossing_window(template, label)
     if not math.isfinite(hi):
         g = format_float(template.coupling(label, template.resonator.label))
         raise InvalidSystem(f"magnon {label!r}: gap window [{format_float(lo)}, "
                             f"{format_float(hi)}] is not finite (coupling {g})")
-    fields = np.linspace(lo, hi, points)
+    fields = np.linspace(lo, hi, GAP_SWEEP_POINTS)
     curves = compute_branches(template, fields)
     return anticrossing_gap(curves, (float(fields[0]), float(fields[-1])))
 

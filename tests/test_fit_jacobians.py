@@ -9,6 +9,7 @@ reproduce.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from cavmag.fitting import (
     FreeParameter,
     _eigenvalue_derivatives,
     _map_columns,
-    apply_parameters,
     fit_map,
     split_parameter_name,
 )
@@ -31,11 +31,9 @@ from cavmag.sweep import (
     SystemTemplate,
     TemplateMagnon,
     _each_block,
-    _model_arrays,
     _stack,
     compute_branches,
     compute_map,
-    hamiltonians,
 )
 
 # One parameter of each kind per mode it may name, on the three-mode device.
@@ -70,6 +68,23 @@ def value_of(template, name):
     return getattr(magnon, kind) if kind in ("alpha", "beta") else getattr(magnon.material, kind)
 
 
+def with_parameter(template, name, value):
+    """template with one parameter set to value, rebuilt (and so validated)
+    through the model's own constructors: the reference for a fit's arrays."""
+    kind, labels = split_parameter_name(name)
+    if kind == "g":
+        return template.with_coupling(*labels, value)
+    if labels[0] == template.resonator.label:
+        return replace(template, resonator=replace(template.resonator, **{kind: value}))
+    magnons = []
+    for m in template.magnons:
+        if m.label == labels[0]:
+            m = (replace(m, **{kind: value}) if kind in ("alpha", "beta")
+                 else replace(m, material=replace(m.material, **{kind: value})))
+        magnons.append(m)
+    return replace(template, magnons=tuple(magnons))
+
+
 def slots_of(template, name):
     value = value_of(template, name)
     return FitProblem(template, (FreeParameter(name, 0.5 * value, 2.0 * value + 1.0, value),)).slots
@@ -85,7 +100,7 @@ def central_difference(evaluate, template, name, rel_step=1e-6):
     step = rel_step * max(abs(u), 1e-4)
 
     def at(v):
-        return evaluate(apply_parameters(template, {name: v * v if root else v}))
+        return evaluate(with_parameter(template, name, v * v if root else v))
 
     slope = (8.0 * (at(u + step) - at(u - step)) - (at(u + 2.0 * step) - at(u - 2.0 * step)))
     return slope / (12.0 * step), step
@@ -93,7 +108,7 @@ def central_difference(evaluate, template, name, rel_step=1e-6):
 
 def exact_map_column(template, name):
     slots = slots_of(template, name)
-    arrays = _model_arrays(template)
+    arrays = template.arrays
     columns = []
     _each_block(*_stack(arrays, FIELDS), FIELDS, FREQS, lambda block, model, y: columns.append(
         _map_columns(slots, arrays, model, y, FIELDS[block, None])[0]))
@@ -102,12 +117,12 @@ def exact_map_column(template, name):
 
 def sorted_eigen_derivatives(template, name):
     """d lambda/dp per field and branch, in compute_branches order."""
-    values, vectors = np.linalg.eig(hamiltonians(template, FIELDS))
+    values, vectors = np.linalg.eig(_stack(template.arrays, FIELDS)[0])
     rows = []
     for k, (row, vecs) in enumerate(zip(values, vectors)):
         order = [int(np.flatnonzero(row == value)[0]) for value in sort_eigenvalues(row)]
         h = np.full(len(order), FIELDS[k])
-        rows.append(_eigenvalue_derivatives(slots_of(template, name), _model_arrays(template),
+        rows.append(_eigenvalue_derivatives(slots_of(template, name), template.arrays,
                                             vecs[:, order].T, h)[0])
     return np.array(rows)
 
@@ -144,7 +159,7 @@ def test_branch_columns_match_central_differences(alpha, beta, g, omega):
     # divides by its step: the error allowed on top of RTOL.  Dampings
     # move Re(lambda) little, so they take a larger step.
     template = device(alpha, beta, g, omega)
-    noise = 100.0 * np.finfo(float).eps * np.abs(hamiltonians(template, FIELDS)).max()
+    noise = 100.0 * np.finfo(float).eps * np.abs(_stack(template.arrays, FIELDS)[0]).max()
     for name in NAMES:
         exact = sorted_eigen_derivatives(template, name).real
         rel_step = 1e-3 if name.startswith(("alpha:", "beta:")) else 1e-5

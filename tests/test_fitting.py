@@ -1,11 +1,13 @@
 """Ridge extraction, parameter plumbing, simplex fits, linear regression."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavmag import fitting, sweep
+from cavmag.config import load_config
 from cavmag.core import PERMALLOY, YIG, HybridSystem, KittelMaterial, ModeSpec
 from cavmag.errors import (
     DegenerateData,
@@ -16,7 +18,6 @@ from cavmag.fitting import (
     FitProblem,
     FreeParameter,
     RidgeSet,
-    apply_parameters,
     coupling_guess_from_ridges,
     damping_guess_from_column,
     extract_ridges,
@@ -24,7 +25,16 @@ from cavmag.fitting import (
     fit_map,
     linear_regression,
 )
-from cavmag.sweep import SpectrumMap, SystemTemplate, TemplateMagnon, compute_map
+from cavmag.sweep import (
+    SpectrumMap,
+    SystemTemplate,
+    TemplateMagnon,
+    compute_map,
+    crossing_field,
+    thickness_sweep,
+)
+from cavmag.synth import NoiseSpec, synth_map
+from test_fit_jacobians import with_parameter
 
 
 def one_magnon_template(g=0.25, alpha_m=0.005, beta_m=0.004):
@@ -102,6 +112,8 @@ def test_free_parameter_validation():
         FreeParameter("g:cpw:py", 0.0, 1.0, 2.0)
     with pytest.raises(InvalidSystem, match=">= 0"):
         FreeParameter("beta:py", -0.5, 1.0, 0.5)
+    with pytest.raises(InvalidSystem, match="lower bound must be > 0"):
+        FreeParameter("four_pi_m:py", 0.0, 1e4, 0.5)
     # couplings may be negative
     FreeParameter("g:cpw:py", -1.0, 1.0, -0.5)
 
@@ -117,37 +129,37 @@ def test_fit_problem_rejects_duplicates_and_bad_initials():
         FitProblem(template, (FreeParameter("omega:yig", 20.0, 30.0, 29.0),))
 
 
-def test_apply_parameters_each_kind():
+def test_arrays_at_sets_each_kind_as_a_rebuilt_template():
     template = one_magnon_template()
-    out = apply_parameters(template, {
-        "g:yig:cpw": 0.3,
-        "alpha:cpw": 0.015,
-        "beta:yig": 0.007,
-        "omega:cpw": 29.5,
-        "gamma:yig": 1.8e-2,
-        "four_pi_m:yig": 1800.0,
-    })
-    assert out.coupling("cpw", "yig") == 0.3
-    assert out.resonator.alpha == 0.015
-    assert out.resonator.omega == 29.5
-    assert out.magnon("yig").beta == 0.007
-    assert out.magnon("yig").material.gamma == 1.8e-2
-    assert out.magnon("yig").material.four_pi_m == 1800.0
-    # source template is untouched
-    assert template.resonator.omega == 29.2
-    assert template.coupling("cpw", "yig") == 0.25
+    values = {"g:yig:cpw": 0.3, "alpha:cpw": 0.015, "beta:yig": 0.007, "omega:cpw": 29.5,
+              "gamma:yig": 1.8e-2, "four_pi_m:yig": 1800.0}
+    problem = FitProblem(template, tuple(FreeParameter(name, 0.5 * v, 2.0 * v, v)
+                                         for name, v in values.items()))
+    arrays = problem.arrays_at(list(values.values()))
+    rebuilt = template
+    for name, value in values.items():
+        rebuilt = with_parameter(rebuilt, name, value)
+    assert arrays.keys() == rebuilt.arrays.keys()
+    for kind, column in rebuilt.arrays.items():
+        assert np.array_equal(arrays[kind], column), kind
+    # the template's own table is untouched
+    assert template.arrays["omega"][1] == 29.2
+    assert template.arrays["g"][0, 1] == template.arrays["g"][1, 0] == 0.25
 
 
-def test_apply_parameters_rejects_unknown_targets():
+def test_fit_problem_rejects_unknown_targets():
     template = one_magnon_template()
-    with pytest.raises(InvalidSystem, match="unknown mode"):
-        apply_parameters(template, {"alpha:nope": 0.01})
-    with pytest.raises(InvalidSystem, match="unknown mode"):
-        apply_parameters(template, {"g:cpw:nope": 0.1})
+    for name, message in [("alpha:nope", "names unknown mode 'nope'"),
+                          ("g:cpw:nope", "names unknown mode 'nope'"),
+                          ("gamma:cpw", "no magnon labelled 'cpw'"),
+                          ("four_pi_m:nope", "no magnon labelled 'nope'"),
+                          ("g:yig:yig", "self-coupling on 'yig'")]:
+        with pytest.raises(InvalidSystem, match=message):
+            FitProblem(template, (FreeParameter(name, 0.01, 0.1, 0.05),))
     with pytest.raises(InvalidSystem, match="two labels"):
-        apply_parameters(template, {"g:cpw": 0.1})
+        FreeParameter("g:cpw", 0.0, 1.0, 0.1)
     with pytest.raises(InvalidSystem, match="exactly one label"):
-        apply_parameters(template, {"alpha:cpw:yig": 0.1})
+        FreeParameter("alpha:cpw:yig", 0.0, 1.0, 0.1)
 
 
 # ── Fits ───────────────────────────────────────────────────────────────
@@ -224,6 +236,35 @@ def test_fit_branches_needs_enough_ridge_points():
         fit_branches(ridges, problem)
 
 
+@pytest.mark.parametrize("sigma, tolerance", [(0.0, 1e-4), (0.01, 1e-2)])
+def test_fitted_maps_recover_the_thickness_crosslink(sigma, tolerance):
+    # The paper infers g1 = 0.5 g2 + 0.1 from spectra fitted at each YIG
+    # thickness: fit both couplings of every map of the shipped series,
+    # then regress g1 on g2.  tolerance bounds the relative error of the
+    # slope and of the intercept.
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "thickness.config")
+    spec = config.thickness
+    series = thickness_sweep(config.template(), spec.model, spec.crosslink_slope,
+                             spec.crosslink_intercept, spec.thicknesses, spec.varied, spec.linked)
+    g1, g2 = [], []
+    for t, template in series:
+        h_py, h_yig = crossing_field(template, "py"), crossing_field(template, "yig")
+        fields = np.concatenate([np.linspace(h_yig - 300.0, h_yig + 300.0, 31),
+                                 np.linspace(h_py - 430.0, h_py + 430.0, 31)])
+        data = synth_map(template, fields, np.linspace(27.2, 31.2, 101),
+                         NoiseSpec(sigma=sigma, seed=11))
+        truth = (template.coupling("py", "cpw"), template.coupling("yig", "cpw"))
+        result = fit_map(data, FitProblem(template, (
+            FreeParameter("g:py:cpw", 0.02, 0.6, 1.5 * truth[0]),
+            FreeParameter("g:cpw:yig", 0.02, 0.6, 0.5 * truth[1]))))
+        assert result.converged, f"t={t}"
+        g1.append(result.params["g:py:cpw"])
+        g2.append(result.params["g:cpw:yig"])
+    crosslink = linear_regression(g2, g1)
+    assert abs(crosslink.slope - 0.5) <= tolerance * 0.5
+    assert abs(crosslink.intercept - 0.1) <= tolerance * 0.1
+
+
 # ── Linear regression ──────────────────────────────────────────────────
 
 
@@ -294,11 +335,13 @@ def test_damping_guess_from_column():
         damping_guess_from_column(empty)
 
 
-def test_apply_parameters_accepts_a_magnon_damping_at_its_current_value():
+def test_arrays_at_a_magnon_damping_at_its_current_value_are_the_template_arrays():
     template = one_magnon_template(alpha_m=0.005, beta_m=0.004)
-    out = apply_parameters(template, {"alpha:yig": 0.005, "beta:yig": 0.004})
-    assert out == template
-    FitProblem(template, (FreeParameter("beta:yig", 0.0, 0.01, 0.004),))
+    problem = FitProblem(template, (FreeParameter("alpha:yig", 0.0, 0.01, 0.005),
+                                    FreeParameter("beta:yig", 0.0, 0.01, 0.004)))
+    arrays = problem.arrays_at([0.005, 0.004])
+    assert all(np.array_equal(arrays[kind], column) for kind, column in template.arrays.items())
+    assert with_parameter(with_parameter(template, "alpha:yig", 0.005), "beta:yig", 0.004) == template
 
 
 # ── The parameter box, validated once ──────────────────────────────────
@@ -314,18 +357,18 @@ def two_magnon_template():
 
 
 @pytest.mark.parametrize("make, free, message", [
-    (two_magnon_template, FreeParameter("g:py:yig", 0.0, 0.1, 0.0),
+    (two_magnon_template, ("g:py:yig", 0.0, 0.1, 0.0),
      "free parameters at their upper bounds: two-magnon templates are resonator-mediated"),
-    (one_magnon_template, FreeParameter("gamma:yig", 0.0, 0.05, 0.0176),
-     "free parameters at their lower bounds: material constant gamma must be finite and > 0"),
-    (one_magnon_template, FreeParameter("beta:cpw", 0.0, 1e300, 0.02),
+    (one_magnon_template, ("gamma:yig", 0.0, 0.05, 0.0176),
+     "parameter 'gamma:yig': lower bound must be > 0"),
+    (one_magnon_template, ("beta:cpw", 0.0, 1e300, 0.02),
      "free parameters at their upper bounds: mode 'cpw': damping overflows the coupling matrix"),
 ])
 def test_fit_box_the_template_rejects_fails_on_construction(make, free, message):
     # each box holds a valid initial point, so only a check of the whole
     # box, made before any evaluation, can reject it
     with pytest.raises(InvalidSystem) as info:
-        FitProblem(make(), (free,))
+        FitProblem(make(), (FreeParameter(*free),))
     assert str(info.value).startswith(message)
 
 
@@ -365,7 +408,6 @@ def test_fit_evaluations_build_no_model_objects(monkeypatch):
             FreeParameter("beta:cpw", 0.01, 0.03, 0.021),
             FreeParameter("gamma:yig", 0.017, 0.018, 0.01761),
             FreeParameter("four_pi_m:py", 10000.0, 12000.0, 10910.0))
-    problem = FitProblem(truth, free)
     built = []
 
     def counting(name, method):
@@ -378,6 +420,7 @@ def test_fit_evaluations_build_no_model_objects(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(sweep, "instantiate", counting("instantiate", sweep.instantiate))
     monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+    problem = FitProblem(truth, free)  # the box is checked without building a template
     for result in (fit_map(data, problem), fit_branches(ridges, problem)):
         assert result.iterations >= 1
     assert built == []

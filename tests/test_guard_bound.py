@@ -28,7 +28,7 @@ from cavmag.core import (
     _transmission,
     build_coupling_hamiltonian,
 )
-from cavmag.sweep import SystemTemplate, TemplateMagnon, compute_map, hamiltonians
+from cavmag.sweep import SystemTemplate, TemplateMagnon, _stack, compute_map
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,7 +138,7 @@ def test_lossless_map_sends_only_points_on_eigenfrequency_lines_to_svd(monkeypat
                               magnons=(TemplateMagnon("yig", 0.0, 0.0, YIG),),
                               couplings={("cpw", "yig"): 0.2})
     fields = np.linspace(900.0, 1100.0, 101)
-    hams = hamiltonians(template, fields)
+    hams = _stack(template.arrays, fields)[0]
     lines = np.linalg.eigvalsh(hams.real)  # (fields, 2) eigenfrequencies of Re H
     weights = np.ones(2)
     seen = counting_svd(monkeypatch)

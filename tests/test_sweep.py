@@ -1,6 +1,8 @@
 """Field sweeps: templates, maps, branch curves, anticrossing gaps."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from cavmag.errors import (
     WindowTooNarrow,
 )
 from cavmag import sweep
-from cavmag.fitting import FitProblem, FreeParameter, apply_parameters
+from cavmag.fitting import FitProblem, FreeParameter
 from cavmag.sweep import (
     _FIELD_BLOCK,
     _stack,
@@ -43,10 +45,10 @@ from cavmag.sweep import (
     crossing_field,
     crossing_window,
     gap_at_crossing,
-    hamiltonians,
     instantiate,
     thickness_sweep,
 )
+from test_fit_jacobians import with_parameter
 
 CROSS_PY_29_2 = 5879.015115345802
 CROSS_YIG_29_2 = 1000.6885787966239
@@ -126,6 +128,22 @@ def test_template_lookup_and_update():
     assert template.coupling("yig", "cpw") == 0.21  # original untouched
     with pytest.raises(InvalidSystem, match="no magnon"):
         template.magnon("cpw")
+    assert updated.arrays["g"][1, 2] == updated.arrays["g"][2, 1] == 0.3
+    assert template.arrays["g"][1, 2] == 0.21
+
+
+def test_template_arrays_are_read_only():
+    template = two_magnon_template()
+    assert template.arrays["magnons"] == ((0, "py"), (2, "yig"))
+    with pytest.raises(TypeError):
+        template.arrays["omega"] = np.zeros(3)
+    for kind in ("omega", "alpha", "beta", "gamma", "four_pi_m", "g"):
+        with pytest.raises(ValueError, match="read-only"):
+            template.arrays[kind][0] = 1.0
+    for clone in (copy.deepcopy(template), pickle.loads(pickle.dumps(template))):
+        assert clone == template
+        assert np.array_equal(clone.arrays["g"], template.arrays["g"])
+        assert not clone.arrays["g"].flags.writeable
 
 
 def test_instantiate_mode_order_and_kittel():
@@ -201,7 +219,7 @@ def three_magnon_template():
 def test_field_hamiltonians_match_instantiated_systems_bitwise(make):
     template = make()
     fields = np.linspace(600.0, 6400.0, 11)
-    hams = hamiltonians(template, fields)
+    hams = _stack(template.arrays, fields)[0]
     assert hams.shape == (fields.size, len(template.magnons) + 1, len(template.magnons) + 1)
     for h, ham in zip(fields, hams):
         assert ham.tobytes() == build_coupling_hamiltonian(instantiate(template, h)).tobytes()
@@ -217,8 +235,8 @@ def test_field_hamiltonians_match_instantiated_systems_bitwise(make):
     for name, value in candidates:
         problem = FitProblem(template, (FreeParameter(name, 0.5 * value, 2.0 * value, value),))
         fit_hams, fit_weights = _stack(problem.arrays_at(np.array([value])), fields)
-        candidate = apply_parameters(template, {name: value})
-        assert fit_hams.tobytes() == hamiltonians(candidate, fields).tobytes(), name
+        candidate = with_parameter(template, name, value)
+        assert fit_hams.tobytes() == _stack(candidate.arrays, fields)[0].tobytes(), name
         for h, ham in zip(fields, fit_hams):
             assert ham.tobytes() == build_coupling_hamiltonian(instantiate(candidate, h)).tobytes()
         assert fit_weights.tobytes() == stripline_vector(instantiate(candidate, 0.0)).tobytes()
@@ -372,7 +390,7 @@ def test_kittel_overflow_names_magnon_and_field():
         couplings={("cpw", "yig"): 0.25},
     )
     message = "magnon 'yig': Kittel frequency overflows at h=200"
-    for build in (lambda: hamiltonians(template, [0.0, 1.0, 200.0, 300.0]),
+    for build in (lambda: _stack(template.arrays, [0.0, 1.0, 200.0, 300.0]),
                   lambda: instantiate(template, 200.0)):
         with pytest.raises(InvalidSystem) as info:
             build()
