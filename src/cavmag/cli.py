@@ -38,7 +38,7 @@ from .fitting import (
     fit_branches,
     fit_map,
     linear_regression,
-    split_parameter_name,
+    resolve_parameter,
 )
 from .sweep import compute_branches, compute_map, crossing_window, gap_at_crossing, thickness_sweep
 from .synth import NoiseSpec, synth_map
@@ -57,14 +57,6 @@ def _display_scale(config: RunConfig, args) -> float:
             raise ConfigError(f"--freq-scale must be > 0, got {args.freq_scale}")
         return args.freq_scale
     return config.display_scale
-
-
-def _checked_seed(value: int | None) -> int | None:
-    if value is None:
-        return None
-    if not 0 <= value < 2**64:
-        raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {value}")
-    return value
 
 
 @contextmanager
@@ -149,9 +141,10 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet 
         if "initial" in entry:
             initial = float(entry["initial"])
         else:
-            if ridges is None and split_parameter_name(name)[0] == "g":
+            kind, slots = resolve_parameter(template, name)
+            if ridges is None and kind == "g":
                 ridges = extract_ridges(data, n_ridges, min_separation)
-            initial = float(np.clip(_default_initial(name, template, data, ridges), lower, upper))
+            initial = float(np.clip(_default_initial(kind, slots, template, data, ridges), lower, upper))
         free.append(FreeParameter(name=name, lower=lower, upper=upper, initial=initial))
     problem = FitProblem(template=template, free=tuple(free))
     if ridges is None and fit_cfg.method == "branches":
@@ -159,21 +152,20 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet 
     return problem, ridges
 
 
-def _default_initial(name, template, data, ridges) -> float:
-    """Recipe for a missing initial guess.
+def _default_initial(kind, slots, template, data, ridges) -> float:
+    """Recipe for a missing initial guess of a resolved parameter.
 
     Couplings start from half the minimal ridge splitting near the
     relevant crossing; dampings from the strongest-ridge width split
     half intrinsic, half extrinsic; everything else from the template.
     """
-    kind, labels = split_parameter_name(name)
     if kind == "g":
-        magnon = labels[0] if labels[1] == template.resonator.label else labels[1]
-        return coupling_guess_from_ridges(ridges, crossing_window(template, magnon))
+        order = template.mode_order()
+        other = slots[0] if order[slots[1]] == template.resonator.label else slots[1]
+        return coupling_guess_from_ridges(ridges, crossing_window(template, order[other]))
     if kind in ("alpha", "beta"):
         return damping_guess_from_column(data) / 2.0
-    owner = template.resonator if kind == "omega" else template.magnon(labels[0]).material
-    return getattr(owner, kind)
+    return template.arrays[kind][slots[0]]  # omega, gamma or four_pi_m
 
 
 def _report_lines(result: FitResult, n_data: int, order: list[str]) -> list[str]:
@@ -255,9 +247,8 @@ def cmd_thickness(args) -> int:
 def cmd_synth(args) -> int:
     config = load_config(args.config)
     noise = config.noise if config.noise is not None else NoiseSpec(sigma=0.0, seed=0)
-    seed = _checked_seed(args.seed)
-    if seed is not None:
-        noise = NoiseSpec(sigma=noise.sigma, seed=seed)
+    if args.seed is not None:
+        noise = NoiseSpec(sigma=noise.sigma, seed=args.seed)
     with _grids_in_memory(config):
         spectrum = synth_map(config.template(), config.field_grid.to_array(),
                              config.freq_grid.to_array(), noise)

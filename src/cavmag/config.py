@@ -1,24 +1,29 @@
 """Run configuration: a single versioned JSON document.
 
+The module only maps the document onto the model records and back.
 The schema is strict: unknown keys are rejected with the offending key
 named, every mode carries exactly one of beta or lambda (lambda is
-converted once on load) and exactly one of omega or material.  Writing
-is canonical (sorted keys, two-space indent, trailing newline) so a
-write - read - write cycle is byte-identical.
+converted once on load) and exactly one of omega or material.  Model
+rules stay with the model: parse_config builds the template once, which
+checks labels and couplings, and fit names go through
+fitting.resolve_parameter, all surfacing as ConfigError.  A fit block
+naming both aliases of a coupling loads; FitProblem rejects it.
+Writing is canonical (sorted keys, two-space indent, trailing newline)
+so a write - read - write cycle is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import KittelMaterial, ModeSpec, lambda_to_beta
 from .dataio import read_text
 from .errors import ConfigError, DataFormatError, InvalidSystem, NegativeCoupling
-from .fitting import split_parameter_name
+from .fitting import resolve_parameter
 from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel
 from .synth import NoiseSpec
 
@@ -99,14 +104,18 @@ class RunConfig:
     display_scale: float
 
     def template(self) -> SystemTemplate:
-        """Sweepable template: the resonator (the one ModeSpec), the rest magnons."""
-        resonator = next(m for m in self.modes if isinstance(m, ModeSpec))
-        magnons = tuple(m for m in self.modes if isinstance(m, TemplateMagnon))
-        couplings = {(a, b): g for a, b, g in self.couplings}
-        return SystemTemplate(resonator=resonator, magnons=magnons, couplings=couplings)
+        return _template(self.modes, self.couplings)
 
     def material_modes(self) -> dict[str, KittelMaterial]:
         return {m.label: m.material for m in self.modes if isinstance(m, TemplateMagnon)}
+
+
+def _template(modes, couplings) -> SystemTemplate:
+    """Sweepable template: the resonator (the one ModeSpec), the rest magnons."""
+    resonator = next(m for m in modes if isinstance(m, ModeSpec))
+    magnons = tuple(m for m in modes if isinstance(m, TemplateMagnon))
+    return SystemTemplate(resonator=resonator, magnons=magnons,
+                          couplings={(a, b): g for a, b, g in couplings})
 
 
 # ── Parsing ────────────────────────────────────────────────────────────
@@ -152,7 +161,7 @@ def _parse_grid(entry: dict, context: str) -> GridSpec:
     return GridSpec(start=start, stop=stop, count=count)
 
 
-def _parse_fit(entry: dict, labels: set[str]) -> FitConfig:
+def _parse_fit(entry: dict, template: SystemTemplate) -> FitConfig:
     _expect_keys(entry, "fit", ("method", "free"), ("n_ridges", "min_separation"))
     method = entry["method"]
     if method not in ("map", "branches"):
@@ -165,9 +174,10 @@ def _parse_fit(entry: dict, labels: set[str]) -> FitConfig:
         name = item["name"]
         if not isinstance(name, str):
             raise ConfigError(f"fit.free[{k}]: 'name' must be a string")
-        for label in split_parameter_name(name)[1]:
-            if label not in labels:
-                raise ConfigError(f"fit.free[{k}]: {name!r} names unknown mode {label!r}")
+        try:
+            resolve_parameter(template, name)
+        except InvalidSystem as exc:
+            raise ConfigError(f"fit.free[{k}]: {exc}") from None
         _number(item, f"fit.free[{k}]", "lower")
         _number(item, f"fit.free[{k}]", "upper")
         if "initial" in item:
@@ -184,7 +194,7 @@ def _parse_fit(entry: dict, labels: set[str]) -> FitConfig:
                      n_ridges=n_ridges, min_separation=min_separation)
 
 
-def _parse_thickness(entry: dict, labels: set[str]) -> ThicknessConfig:
+def _parse_thickness(entry: dict, template: SystemTemplate) -> ThicknessConfig:
     _expect_keys(entry, "thickness",
                  ("slope", "intercept", "t_min", "t_max", "thicknesses", "crosslink", "varied"),
                  ("linked",))
@@ -205,9 +215,11 @@ def _parse_thickness(entry: dict, labels: set[str]) -> ThicknessConfig:
     _expect_keys(crosslink, "thickness.crosslink", ("slope", "intercept"))
     varied = entry["varied"]
     linked = entry.get("linked")
-    for name in (varied, linked) if linked is not None else (varied,):
-        if not isinstance(name, str) or name not in labels:
-            raise ConfigError(f"thickness: unknown mode label {name!r}")
+    try:
+        for name in (varied, linked) if linked is not None else (varied,):
+            template.magnon(name)
+    except InvalidSystem as exc:
+        raise ConfigError(f"thickness: {exc}") from None
     return ThicknessConfig(
         model=model,
         thicknesses=tuple(thicknesses),
@@ -234,29 +246,21 @@ def parse_config(document: str) -> RunConfig:
         raise ConfigError("config: 'modes' must be a nonempty list")
     try:
         modes = tuple(_parse_mode(m, f"modes[{k}]") for k, m in enumerate(raw_modes))
-    except InvalidSystem as exc:
-        raise ConfigError(str(exc)) from None
-    labels = {m.label for m in modes}
-    if len(labels) != len(modes):
-        raise ConfigError("config: mode labels must be unique")
-    fixed = [m for m in modes if isinstance(m, ModeSpec)]
-    if len(fixed) != 1:
-        raise ConfigError(f"config: exactly one fixed-frequency mode required, got {len(fixed)}")
-    raw_couplings = raw["couplings"]
-    if not isinstance(raw_couplings, list):
-        raise ConfigError("config: 'couplings' must be a list")
-    couplings = []
-    for k, item in enumerate(raw_couplings):
-        _expect_keys(item, f"couplings[{k}]", ("pair", "g"))
-        pair = item["pair"]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or any(not isinstance(x, str) for x in pair)):
-            raise ConfigError(f"couplings[{k}]: 'pair' must be two mode labels")
-        for name in pair:
-            if name not in labels:
-                raise ConfigError(f"couplings[{k}]: unknown mode label {name!r}")
-        couplings.append((pair[0], pair[1], _number(item, f"couplings[{k}]", "g")))
-    try:
+        fixed = [m for m in modes if isinstance(m, ModeSpec)]
+        if len(fixed) != 1:
+            raise ConfigError(f"config: exactly one fixed-frequency mode required, got {len(fixed)}")
+        raw_couplings = raw["couplings"]
+        if not isinstance(raw_couplings, list):
+            raise ConfigError("config: 'couplings' must be a list")
+        couplings = []
+        for k, item in enumerate(raw_couplings):
+            _expect_keys(item, f"couplings[{k}]", ("pair", "g"))
+            pair = item["pair"]
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or any(not isinstance(x, str) for x in pair)):
+                raise ConfigError(f"couplings[{k}]: 'pair' must be two mode labels")
+            couplings.append((pair[0], pair[1], _number(item, f"couplings[{k}]", "g")))
+        template = _template(modes, couplings)
         noise = None
         if "noise" in raw:
             _expect_keys(raw["noise"], "noise", ("sigma", "seed"))
@@ -264,8 +268,8 @@ def parse_config(document: str) -> RunConfig:
             if isinstance(seed, bool) or not isinstance(seed, int):
                 raise ConfigError(f"noise: 'seed' must be an integer, got {seed!r}")
             noise = NoiseSpec(sigma=_number(raw["noise"], "noise", "sigma"), seed=seed)
-        fit = _parse_fit(raw["fit"], labels) if "fit" in raw else None
-        thickness = _parse_thickness(raw["thickness"], labels) if "thickness" in raw else None
+        fit = _parse_fit(raw["fit"], template) if "fit" in raw else None
+        thickness = _parse_thickness(raw["thickness"], template) if "thickness" in raw else None
         display_scale = 1.0
         if "display_scale" in raw:
             display_scale = _number(raw, "config", "display_scale")
@@ -275,7 +279,6 @@ def parse_config(document: str) -> RunConfig:
                            field_grid=_parse_grid(raw["field_grid"], "field_grid"),
                            freq_grid=_parse_grid(raw["freq_grid"], "freq_grid"),
                            noise=noise, fit=fit, thickness=thickness, display_scale=display_scale)
-        config.template()  # surface template-level problems as early as possible
     except (InvalidSystem, NegativeCoupling) as exc:
         raise ConfigError(str(exc)) from None
     return config
@@ -296,43 +299,21 @@ def config_to_dict(config: RunConfig) -> dict:
     out: dict = {
         "version": config.version,
         "display_scale": config.display_scale,
-        "modes": [],
-        "couplings": [
-            {"pair": [a, b], "g": g} for a, b, g in config.couplings
-        ],
-        "field_grid": {"start": config.field_grid.start, "stop": config.field_grid.stop,
-                       "count": config.field_grid.count},
-        "freq_grid": {"start": config.freq_grid.start, "stop": config.freq_grid.stop,
-                      "count": config.freq_grid.count},
+        "modes": [asdict(mode) for mode in config.modes],
+        "couplings": [{"pair": [a, b], "g": g} for a, b, g in config.couplings],
+        "field_grid": asdict(config.field_grid),
+        "freq_grid": asdict(config.freq_grid),
     }
-    for mode in config.modes:
-        entry: dict = {"label": mode.label, "alpha": mode.alpha, "beta": mode.beta}
-        if isinstance(mode, ModeSpec):
-            entry["omega"] = mode.omega
-        else:
-            entry["material"] = {"gamma": mode.material.gamma, "four_pi_m": mode.material.four_pi_m}
-        out["modes"].append(entry)
     if config.noise is not None:
-        out["noise"] = {"sigma": config.noise.sigma, "seed": config.noise.seed}
-    if config.fit is not None:
-        fit: dict = {"method": config.fit.method, "free": [dict(f) for f in config.fit.free]}
-        if config.fit.n_ridges is not None:
-            fit["n_ridges"] = config.fit.n_ridges
-        if config.fit.min_separation is not None:
-            fit["min_separation"] = config.fit.min_separation
-        out["fit"] = fit
+        out["noise"] = asdict(config.noise)
+    if config.fit is not None:  # n_ridges and min_separation are None when absent
+        out["fit"] = {k: v for k, v in asdict(config.fit).items() if v is not None}
     if config.thickness is not None:
         t = config.thickness
-        block: dict = {
-            "slope": t.model.slope, "intercept": t.model.intercept,
-            "t_min": t.model.t_min, "t_max": t.model.t_max,
-            "thicknesses": list(t.thicknesses),
-            "crosslink": {"slope": t.crosslink_slope, "intercept": t.crosslink_intercept},
-            "varied": t.varied,
-        }
-        if t.linked is not None:
-            block["linked"] = t.linked
-        out["thickness"] = block
+        block = {**asdict(t.model), "thicknesses": list(t.thicknesses), "varied": t.varied,
+                 "linked": t.linked,
+                 "crosslink": {"slope": t.crosslink_slope, "intercept": t.crosslink_intercept}}
+        out["thickness"] = {k: v for k, v in block.items() if v is not None}  # linked is optional
     return out
 
 

@@ -17,8 +17,10 @@ eigenvector.  beta enters only through sqrt(beta), whose derivative is
 infinite at the allowed bound 0, so the search steps in s = sqrt(beta)
 and reports sigma_beta = 2 s sigma_s.
 
-The box is validated once, when the FitProblem is built, without
-building a template (see FitProblem for the rule).  Evaluations
+Names meet a template only in resolve_parameter, where both spellings
+of a coupling resolve alike, so a box naming both aliases ('g:a:b' and
+'g:b:a') is rejected.  The box is validated once, when the FitProblem
+is built, without building a template (see FitProblem).  Evaluations
 re-validate nothing and build no template or system: each writes its
 candidate into a copy of the template's arrays and builds H from them.
 
@@ -131,6 +133,24 @@ def split_parameter_name(name: str) -> tuple[str, list[str]]:
     return kind, labels
 
 
+def resolve_parameter(template: SystemTemplate, name: str) -> tuple[str, tuple[int, ...]]:
+    """Kind and mode slots (in mode_order(), ascending) of a parameter name.
+
+    InvalidSystem unless alpha, beta and g name modes of the template,
+    omega the resonator, and gamma and four_pi_m a magnon.
+    """
+    kind, labels = split_parameter_name(name)
+    order = template.mode_order()
+    for label in labels if kind in ("g", "alpha", "beta") else ():
+        if label not in order:
+            raise InvalidSystem(f"parameter {name!r} names unknown mode {label!r}")
+    if kind == "omega" and labels != [template.resonator.label]:
+        raise InvalidSystem(f"omega is only free on the resonator, got {name!r}")
+    if kind in ("gamma", "four_pi_m"):
+        template.magnon(labels[0])
+    return kind, tuple(sorted(order.index(label) for label in labels))
+
+
 @dataclass(frozen=True)
 class FreeParameter:
     """One free scalar with finite bounds and an in-bounds initial guess.
@@ -171,14 +191,14 @@ class FreeParameter:
 class FitProblem:
     """A template plus the free parameters a fit may move.
 
-    Box rule: each name must resolve to modes of the template (omega only
-    on the resonator, gamma and four_pi_m only on a magnon), the template
-    must accept each free coupling at both of its bounds, and the dampings
-    at their upper bounds must not overflow the coupling matrix.  Every
-    other template check is an interval in one parameter that
-    FreeParameter's bounds keep, and the overflow grows with the dampings,
-    so every point of the box is then a valid template.  slots holds each
-    parameter's (kind, mode slots in mode_order()).
+    Box rule: each name must resolve (resolve_parameter) to a parameter
+    no other name resolves to, so coupling aliases are rejected, the
+    template must accept each free coupling at both of its bounds, and
+    the dampings at their upper bounds must not overflow the coupling
+    matrix.  Every other template check is an interval in one parameter
+    that FreeParameter's bounds keep, and the overflow grows with the
+    dampings, so every point of the box is then a valid template.  slots
+    holds each parameter's (kind, mode slots).
     """
 
     template: SystemTemplate
@@ -188,29 +208,21 @@ class FitProblem:
     def __post_init__(self):
         if not isinstance(self.free, tuple):
             object.__setattr__(self, "free", tuple(self.free))
-        names = [p.name for p in self.free]
-        if len(set(names)) != len(names):
-            raise InvalidSystem(f"duplicate free parameter names: {names}")
         template = self.template
         order = template.mode_order()
-        slots = []
+        names: dict[tuple, str] = {}
         for p in self.free:
-            kind, labels = split_parameter_name(p.name)
-            for label in labels if kind in ("g", "alpha", "beta") else ():
-                if label not in order:
-                    raise InvalidSystem(f"parameter {p.name!r} names unknown mode {label!r}")
-            if kind == "omega" and labels != [template.resonator.label]:
-                raise InvalidSystem(f"omega is only free on the resonator, got {p.name!r}")
-            if kind == "g":
+            slot = resolve_parameter(template, p.name)
+            if slot in names:
+                raise InvalidSystem(f"duplicate free parameters: {names[slot]!r} and {p.name!r}")
+            names[slot] = p.name
+            if slot[0] == "g":
                 for side in ("lower", "upper"):
                     try:
-                        template._check_coupling(*labels, getattr(p, side))
+                        template._check_coupling(*(order[k] for k in slot[1]), getattr(p, side))
                     except InvalidSystem as exc:
                         raise InvalidSystem(f"free parameters at their {side} bounds: {exc}") from None
-            if kind in ("gamma", "four_pi_m"):
-                template.magnon(labels[0])
-            slots.append((kind, tuple(order.index(label) for label in labels)))
-        object.__setattr__(self, "slots", tuple(slots))
+        object.__setattr__(self, "slots", tuple(names))
         upper = self.arrays_at([p.upper for p in self.free])
         try:
             _check_dampings(order, upper["alpha"], upper["beta"])

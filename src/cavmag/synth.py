@@ -163,13 +163,16 @@ def synth_map(template: SystemTemplate, fields, freqs, noise: NoiseSpec) -> Spec
 
     sigma applies to the real and imaginary parts independently; sigma 0
     returns the noise-free map unchanged.  Same spec, same map, bit for
-    bit.
+    bit.  InvalidSystem if the noise overflows a value or its magnitude.
     """
     spectrum = compute_map(template, fields, freqs)
     if noise.sigma != 0.0:
         rng = np.random.Generator(np.random.Philox(key=noise.seed))
         draw = rng.standard_normal(spectrum.values.shape + (2,))
-        spectrum.values[...] += noise.sigma * (draw[..., 0] + 1j * draw[..., 1])
+        with np.errstate(over="ignore"):
+            spectrum.values[...] += noise.sigma * (draw[..., 0] + 1j * draw[..., 1])
+            if not np.isfinite(np.abs(spectrum.values)).all():
+                raise InvalidSystem(f"noise sigma {noise.sigma!r} overflows the map")
     return spectrum
 
 

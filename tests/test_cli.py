@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through cli.main."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,21 @@ def test_synth_without_noise_equals_map(tmp_path, small_config):
     assert synth_out.read_bytes() == map_out.read_bytes()
 
 
+def test_synth_noise_overflow_exits_2_without_warning_or_file(tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "yig_only.config").read_text(encoding="utf-8"))
+    doc["field_grid"]["count"], doc["freq_grid"]["count"] = 5, 7
+    doc["noise"] = {"sigma": 1e308, "seed": 3}
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "synth.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["synth", "--config", str(config), "--out", str(out), "--heatmap"])
+    assert rc == 2
+    assert "overflows the map" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_synth_rejects_bad_seed(tmp_path, small_config, capsys):
     out = tmp_path / "x.csv"
     rc = main(["synth", "--config", str(small_config), "--out", str(out),
@@ -172,6 +188,23 @@ def test_fit_recovers_coupling_via_cli(tmp_path, capsys):
     line = next(ln for ln in report.splitlines() if ln.startswith("parameter: g:cpw:yig"))
     value = float(line.split()[3])
     assert abs(value - 0.25) / 0.25 < 1e-4
+
+
+def test_fit_rejects_a_box_naming_both_coupling_aliases(tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "yig_only.config").read_text(encoding="utf-8"))
+    doc["field_grid"]["count"], doc["freq_grid"]["count"] = 21, 31
+    del doc["noise"]
+    doc["fit"]["free"] = [{"name": name, "lower": 0.05, "upper": 0.6, "initial": 0.125}
+                          for name in ("g:cpw:yig", "g:yig:cpw")]
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "converged" not in captured.out
+    assert "duplicate free parameters: 'g:cpw:yig' and 'g:yig:cpw'" in captured.err
 
 
 def test_fit_missing_row_exits_5(tmp_path, capsys):

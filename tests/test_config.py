@@ -225,6 +225,28 @@ def test_rejects_bad_fit_block():
     expect_rejection(doc, "min_separation")
 
 
+def test_fit_and_thickness_labels_resolve_against_the_template_on_load():
+    doc = minimal_doc()
+    doc["fit"] = {"method": "map", "free": [{"name": "omega:yig", "lower": 28.0, "upper": 30.0}]}
+    expect_rejection(doc, "omega is only free on the resonator")
+    doc["fit"]["free"][0]["name"] = "gamma:cpw"
+    expect_rejection(doc, "no magnon labelled 'cpw'")
+    doc = minimal_doc()
+    doc["thickness"] = {
+        "slope": 0.002, "intercept": 0.1, "t_min": 5.0, "t_max": 100.0, "thicknesses": [10.0],
+        "crosslink": {"slope": 0.5, "intercept": 0.1},
+        "varied": "cpw",  # the resonator has no thickness law
+    }
+    expect_rejection(doc, "no magnon labelled 'cpw'")
+
+
+def test_coupling_aliases_load_for_the_fit_problem_to_reject():
+    doc = minimal_doc()
+    doc["fit"] = {"method": "map", "free": [{"name": name, "lower": 0.05, "upper": 0.6}
+                                            for name in ("g:cpw:yig", "g:yig:cpw")]}
+    assert [entry["name"] for entry in parse(doc).fit.free] == ["g:cpw:yig", "g:yig:cpw"]
+
+
 def test_rejects_bad_thickness_block():
     block = {
         "slope": 0.002, "intercept": 0.1, "t_min": 5.0, "t_max": 100.0,

@@ -24,6 +24,7 @@ from cavmag.fitting import (
     fit_branches,
     fit_map,
     linear_regression,
+    resolve_parameter,
 )
 from cavmag.sweep import (
     SpectrumMap,
@@ -127,6 +128,18 @@ def test_fit_problem_rejects_duplicates_and_bad_initials():
         ))
     with pytest.raises(InvalidSystem, match="omega is only free on the resonator"):
         FitProblem(template, (FreeParameter("omega:yig", 20.0, 30.0, 29.0),))
+
+
+def test_coupling_aliases_resolve_alike_and_are_rejected_together():
+    template = one_magnon_template()  # mode order: yig, cpw
+    assert resolve_parameter(template, "g:cpw:yig") == resolve_parameter(template, "g:yig:cpw") \
+        == ("g", (0, 1))
+    assert resolve_parameter(template, "four_pi_m:yig") == ("four_pi_m", (0,))
+    with pytest.raises(InvalidSystem, match="duplicate free parameters: 'g:cpw:yig' and 'g:yig:cpw'"):
+        FitProblem(template, (
+            FreeParameter("g:cpw:yig", 0.05, 0.6, 0.175),
+            FreeParameter("g:yig:cpw", 0.05, 0.6, 0.25),
+        ))
 
 
 def test_arrays_at_sets_each_kind_as_a_rebuilt_template():

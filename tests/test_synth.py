@@ -170,6 +170,20 @@ def test_noise_statistics():
         assert abs(component.mean()) < 5.0 * sigma / math.sqrt(n)
 
 
+def test_noise_overflowing_a_value_or_its_magnitude_is_rejected():
+    template = one_magnon_template()
+    fields = np.linspace(700.0, 1300.0, 5)
+    freqs = np.linspace(27.2, 31.2, 7)
+    # sigma 1e308, seed 3 overflows components; sigma 8e307, seed 4 keeps
+    # every component finite but overflows a magnitude, which a heatmap's
+    # |s21| would meet
+    for sigma, seed in ((1e308, 3), (8e307, 4)):
+        with pytest.raises(InvalidSystem, match="overflows the map"):
+            synth_map(template, fields, freqs, NoiseSpec(sigma=sigma, seed=seed))
+    noisy = synth_map(template, fields, freqs, NoiseSpec(sigma=1e300, seed=4))
+    assert np.isfinite(np.abs(noisy.values)).all()
+
+
 # ── Passivity diagnostics ──────────────────────────────────────────────
 
 
