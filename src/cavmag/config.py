@@ -114,8 +114,11 @@ def _template(modes, couplings) -> SystemTemplate:
     """Sweepable template: the resonator (the one ModeSpec), the rest magnons."""
     resonator = next(m for m in modes if isinstance(m, ModeSpec))
     magnons = tuple(m for m in modes if isinstance(m, TemplateMagnon))
-    return SystemTemplate(resonator=resonator, magnons=magnons,
-                          couplings={(a, b): g for a, b, g in couplings})
+    table = {}
+    for a, b, g in couplings:  # the template sees a pair repeated as written only once
+        if table.setdefault((a, b), g) != g:
+            raise InvalidSystem(f"coupling pair {(min(a, b), max(a, b))} given twice with different values")
+    return SystemTemplate(resonator=resonator, magnons=magnons, couplings=table)
 
 
 # ── Parsing ────────────────────────────────────────────────────────────

@@ -2,12 +2,12 @@
 
 All floats are written as '%.17g' text, so a write - read - write cycle
 is byte-identical and values survive exactly.  Files store model units
-only.  The spectrum writer computes the '%.17g' digits of its s21 values
-exactly with array arithmetic (_format_17g), so its bytes are those of
-'%.17g' % v for every value.  The spectrum reader inverts that kernel:
-plain files are parsed with array arithmetic whose every value is
-proven equal to float() of its token (_read_plain), all other files line
-by line (_read_spectrum_lines), with the same values and errors.
+only.  The spectrum writer spells the exact '%.17g' text of each s21
+value with array arithmetic as the four 64-bit words of a 32-byte slot
+(_write_17g).  The spectrum reader inverts that kernel: plain files are
+parsed with array arithmetic whose every value is proven equal to
+float() of its token (_read_plain), all other files line by line
+(_read_spectrum_lines), with the same values and errors.
 """
 
 from __future__ import annotations
@@ -78,124 +78,123 @@ def _decimal_17(a):
     return e, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-# The text of every 4-digit group 0000..9999 as one little-endian word,
-# in four spellings: all digits (offset 0 in _GROUP_TEXT), leading zeros
-# as NUL, leading zeros as NUL but the units digit kept, and trailing
-# zeros as NUL.
-_LEAD, _UNITS, _TRAIL = 10000, 20000, 30000
-_group = np.arange(10000, dtype=np.int16)[:, None]  # int16 keeps import light
-_place = np.array([1000, 100, 10, 1], dtype=np.int16)
-_ascii = (_group // _place % 10 + ord("0")).astype(np.uint8)
-_leading = _group < _place
-_trailing = _group % (10 * _place) == 0
-_GROUP_TEXT = np.concatenate([
-    np.where(blank, 0, _ascii).view("<u4")[:, 0]
-    for blank in (False, _leading, _leading & (np.arange(4) < 3), _trailing)
-])
-del _group, _place, _ascii, _leading, _trailing
+# One value's text in a 32-byte slot of four little-endian words, NUL
+# where unused: the sign (byte 0), "0." to "0.000" for -4 <= e <= -1
+# (bytes 1-5), the first digit of D (byte 7), the other 16 (words 1-2),
+# "e-06" or "e-05" for e < -4 (bytes 25-28) and the slot's end, ',' or
+# '\n' (byte 31).  Trailing fraction zeros become NUL; then every digit
+# after the point's place moves up one byte, the last into byte 24, and
+# the gap takes '.' if a digit after it is kept.  _SLOT_TABLE[:, e]
+# holds e's words 0 and 3, the mask of its integer digits in words 1-2
+# (none for e < 0) and a 0x01 flag on its point's place (none for
+# -4 <= e <= -1, where the point leads).
 
-# Scientific notation in range: e = -6 and e = -5.
-_EXPONENT_TEXT = np.frombuffer(b"e-06e-05", dtype="<u4")
-
-# One value's text in _FORMAT_WIDTH bytes: sign (byte 0), 16 integer
-# digits (words 1-4), point (byte 20), 20 fraction digits (words 6-10),
-# exponent (word 11).  Unused bytes hold NUL.
-_FORMAT_WIDTH = 48
+_U64 = np.uint64
+_ONES = _U64(0x0101010101010101)
+_ZEROS = _ONES * _U64(ord("0"))  # the text "00000000" as a word
 
 
-def _quads(n, count):
-    """The count 4-digit groups of n, most significant first."""
-    quads = []
-    for _ in range(count):
-        top = n // 10**4
-        quads.append(n - top * 10**4)
-        n = top
-    return quads[::-1]
+def _slot_record(e) -> bytes:
+    """Word 0, the integer digit mask and point flag in words 1-2, word 3."""
+    integer = max(e, 0)  # digits between the first and the point
+    lead = b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
+    point = b"" if lead else b"\0" * integer + b"\1"
+    exponent = b"e-%02d" % -e if e < -4 else b""
+    return (b"\0" + lead).ljust(8, b"\0") + (b"\xff" * integer).ljust(16, b"\0") \
+        + point.ljust(16, b"\0") + (b"\0" + exponent).ljust(8, b"\0")
 
 
-def _format_17g(x) -> np.ndarray:
-    """'%.17g' % v of each value of x, as an (x.size, 48) uint8 array
-    whose non-NUL bytes, in order, spell the text.
+_SLOT_TABLE = np.frombuffer(b"".join(map(_slot_record, [*range(16), *range(-6, 0)])),  # -6..-1 from the end
+                            dtype="<u8").reshape(22, 6).T
+
+
+def _eight_digits_text(n):
+    """The 8 digits of each n < 10^8, one value 0-9 per byte, the most
+    significant in the lowest byte: 4-, 2- and 1-digit lanes in turn.
+    """
+    top = (n * _U64(3518437209)) >> _U64(45)  # n // 10^4
+    n = top | ((n - top * _U64(10**4)) << _U64(32))
+    top = ((n * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)  # // 100 per lane
+    n = top | ((n - top * _U64(100)) << _U64(16))
+    top = ((n * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # // 10 per lane
+    return top | ((n - top * _U64(10)) << _U64(8))
+
+
+def _kept(digits):
+    """0x01 on each byte at or before the word's last nonzero digit."""
+    flags = ((digits + _ONES * _U64(0x7F)) & (_ONES * _U64(0x80))) >> _U64(7)
+    for shift in (8, 16, 32):
+        flags |= flags >> _U64(shift)
+    return flags
+
+
+def _write_17g(x, slots, end) -> None:
+    """Write '%.17g' % v of each value of x, then the byte end, into the
+    32-byte slots: row k of slots is x[k]'s four little-endian words.
 
     ±0 and 1e-6 < |v| < 1e16 take the array route; every other value
     (subnormal, tiny, huge, nan, inf) is formatted by Python.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
     a = np.abs(x)
     inner = (a > 1e-6) & (a < 1e16)
     e, digits = _decimal_17(np.where(inner, a, 1.0))
     digits[a == 0.0] = 0  # prints "0", or "-0" with the sign
-    e_fixed = np.where(e < -4, 0, e)  # scientific lays out d.ddd like e = 0
-    # The integer part, and the fraction left-aligned in 20 digits as
-    # 8 + 12 digits so that each part stays below 2^63.
-    unit = _INT10[np.minimum(16 - e_fixed, 17)]
-    integer = digits // unit
-    rest = digits - integer * unit
-    shift = 4 + e_fixed  # the 20-digit fraction is rest·10^shift
-    head_unit = _INT10[np.clip(12 - shift, 0, 12)]
-    head = rest // head_unit
-    tail = (rest - head * head_unit) * _INT10[np.minimum(shift, 12)]
-    head *= _INT10[np.clip(shift - 12, 0, 7)]
-
-    text = np.zeros((x.size, _FORMAT_WIDTH), dtype=np.uint8)
-    words = text.view("<u4")
-    blank = np.ones(x.size, dtype=bool)  # no digit yet: leading zeros
-    for k, quad in enumerate(_quads(integer, 4)):
-        words[:, 1 + k] = _GROUP_TEXT[quad + blank * (_UNITS if k == 3 else _LEAD)]
-        blank &= quad == 0
-    blank[:] = True  # no digit after: trailing zeros
-    for k, quad in reversed(list(enumerate(_quads(head, 2) + _quads(tail, 3)))):
-        words[:, 6 + k] = _GROUP_TEXT[quad + blank * _TRAIL]
-        blank &= quad == 0
-    text[:, 20] = np.where(blank, 0, ord("."))
-    scientific = np.flatnonzero(e < -4)
-    words[scientific, 11] = _EXPONENT_TEXT[e[scientific] + 6]
-    text[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    word0, integer1, integer2, point1, point2, word3 = (column.take(e) for column in _SLOT_TABLE)
+    digits = digits.view(_U64)
+    first = digits // _U64(10**16)
+    rest = digits - first * _U64(10**16)
+    high = rest // _U64(10**8)
+    low = _eight_digits_text(rest - high * _U64(10**8))
+    high = _eight_digits_text(high)
+    kept2 = _kept(low)
+    kept1 = _kept(high) | (kept2 & _U64(1)) * _ONES  # a digit kept in word 2 keeps all of word 1
+    high = (high | _ZEROS) & (kept1 * _U64(0xFF) | integer1)
+    low = (low | _ZEROS) & (kept2 * _U64(0xFF) | integer2)
+    moved1, moved2 = high & ~integer1, low & ~integer2
+    slots[:, 0] = word0 | (np.signbit(x) * _U64(ord("-"))) | ((first | _U64(ord("0"))) << _U64(56))
+    slots[:, 1] = (high & integer1) | (moved1 << _U64(8)) | (kept1 & point1) * _U64(ord("."))
+    slots[:, 2] = ((low & integer2) | (moved2 << _U64(8)) | (moved1 >> _U64(56))
+                   | (kept2 & point2) * _U64(ord(".")))
+    slots[:, 3] = word3 | (moved2 >> _U64(56)) | _U64(end << 56)
     other = np.flatnonzero(~inner & (a != 0.0))
     if other.size:
-        text[other] = np.array(
-            [("%.17g" % v).encode("ascii") for v in x[other].tolist()],
-            dtype=f"S{_FORMAT_WIDTH}",
-        ).view(np.uint8).reshape(-1, _FORMAT_WIDTH)
-    return text
+        text = np.array([("%.17g" % v).encode("ascii") for v in x[other].tolist()], dtype="S32")
+        slots[other] = text.view("<u8").reshape(-1, 4)  # at most 24 bytes of text
+        slots[other, 3] |= _U64(end << 56)
 
 
-def _text_columns(values) -> np.ndarray:
-    """format_float of each value as the rows of a NUL-padded uint8 array."""
-    text = np.array([format_float(v).encode("ascii") for v in values.tolist()])
-    return text.view(np.uint8).reshape(len(values), -1)
-
-
-# Fields per block of the spectrum writer, so its buffers stay
-# independent of the grid size.
-_WRITE_BLOCK = 32
+_WRITE_BLOCK = 32  # fields per block of the spectrum writer: its buffers do not grow with the grid
 
 
 def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
     """Spectrum map as CSV, rows ordered by (h_oe, omega) ascending.
 
-    Each field and frequency is formatted once, every s21 part by
-    _format_17g.  Rows are built _WRITE_BLOCK fields at a time as
-    fixed-width bytes padded with NUL, which is dropped before each write.
+    Rows are built _WRITE_BLOCK fields at a time in one buffer of words:
+    the field, ',', the frequency and ',', NUL-padded to whole words, then
+    the real and imaginary part's slots (_write_17g).  The words of
+    frequency text alone are filled once; each block rewrites the field's
+    words and the slots, and its NUL bytes are dropped before it is written.
     """
-    heads = _text_columns(spectrum.fields)
-    freqs = _text_columns(spectrum.freqs)
-    # Columns: field, comma, frequency, comma, real part, comma, imaginary part, newline.
-    widths = [heads.shape[1], 1, freqs.shape[1], 1, _FORMAT_WIDTH, 1, _FORMAT_WIDTH, 1]
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    head, freq, real, imag = (slice(a, b) for a, b in zip(starts[::2], ends[::2]))
+    heads, tails = ([format_float(v).encode("ascii") + b"," for v in axis.tolist()]
+                    for axis in (spectrum.fields, spectrum.freqs))
+    width = max(map(len, heads))  # the byte where each frequency starts
+    words = -(-(width + max(map(len, tails))) // 8)  # the row's text before the slots
+    head_words, n_freqs = -(-width // 8), len(tails)
+    heads = np.array(heads, dtype=f"S{8 * head_words}").view("<u8").reshape(-1, head_words)
+    tails = np.array([b"\0" * width + t for t in tails], dtype=f"S{8 * words}")
+    tails = tails.view("<u8").reshape(-1, words)
+    rows = np.zeros((min(_WRITE_BLOCK, len(heads)) * n_freqs, words + 8), dtype="<u8")
+    rows.reshape(-1, n_freqs, words + 8)[..., head_words:words] = tails[:, head_words:]
     with open(path, "wb") as handle:
         handle.write((SPECTRUM_HEADER + "\n").encode("ascii"))
-        for start in range(0, spectrum.fields.size, _WRITE_BLOCK):
+        for start in range(0, len(heads), _WRITE_BLOCK):
             values = spectrum.values[start:start + _WRITE_BLOCK]
-            rows = np.zeros(values.shape + (ends[-1],), dtype=np.uint8)
-            rows[..., head] = heads[start:start + _WRITE_BLOCK, None]
-            rows[..., freq] = freqs
-            rows[..., real] = _format_17g(values.real).reshape(values.shape + (-1,))
-            rows[..., imag] = _format_17g(values.imag).reshape(values.shape + (-1,))
-            rows[..., ends[1::2] - 1] = np.frombuffer(b",,,\n", dtype=np.uint8)
-            handle.write(rows.tobytes().translate(None, b"\0"))
+            block = rows[:values.size]
+            np.bitwise_or(heads[start:start + _WRITE_BLOCK, None], tails[:, :head_words],
+                          out=block.reshape(-1, n_freqs, words + 8)[..., :head_words])
+            _write_17g(values.real.ravel(), block[:, words:words + 4], ord(","))
+            _write_17g(values.imag.ravel(), block[:, words + 4:], ord("\n"))
+            handle.write(block.tobytes().translate(None, b"\0"))
 
 
 # ── Exact array reader ───────────────────────────────────────────────
@@ -223,9 +222,6 @@ _READ_CHUNK = 1 << 18  # bytes per read
 _PAD = 32  # NUL bytes around each read, so that every window stays inside the buffer
 _ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
 
-_U64 = np.uint64
-_ONES = _U64(0x0101010101010101)
-_ZEROS = _ONES * _U64(ord("0"))  # the text "00000000" as a word
 # Word masks keeping the last k characters (the top k bytes), k = 0..8,
 # and the '0' characters that fill the others.
 _KEEP = np.array([(1 << 64) - (1 << 8 * (8 - k)) if k else 0 for k in range(9)], dtype=np.uint64)

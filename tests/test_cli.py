@@ -147,6 +147,18 @@ def test_synth_noise_overflow_exits_2_without_warning_or_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_map_rejects_a_coupling_pair_repeated_with_another_value(tmp_path, capsys):
+    doc = json.loads((CONFIG_DIR / "yig_only.config").read_text(encoding="utf-8"))
+    doc["field_grid"]["count"], doc["freq_grid"]["count"] = 5, 7
+    doc["couplings"] = [{"pair": ["cpw", "yig"], "g": 0.25}, {"pair": ["cpw", "yig"], "g": 0.3}]
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["map", "--config", str(config), "--out", str(tmp_path / "map.csv")])
+    assert rc == 2
+    assert "coupling pair ('cpw', 'yig') given twice with different values" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_synth_rejects_bad_seed(tmp_path, small_config, capsys):
     out = tmp_path / "x.csv"
     rc = main(["synth", "--config", str(small_config), "--out", str(out),

@@ -186,6 +186,15 @@ def test_rejects_bad_couplings():
     expect_rejection(doc, "finite number")
 
 
+def test_rejects_a_coupling_pair_repeated_with_another_value():
+    for first, second in ((["cpw", "yig"], ["cpw", "yig"]), (["cpw", "yig"], ["yig", "cpw"])):
+        doc = minimal_doc()
+        doc["couplings"] = [{"pair": first, "g": 0.25}, {"pair": second, "g": 0.3}]
+        expect_rejection(doc, "coupling pair ('cpw', 'yig') given twice with different values")
+        doc["couplings"][1]["g"] = 0.25  # an exact repeat names one coupling
+        assert parse(doc).template().coupling("cpw", "yig") == 0.25
+
+
 def test_rejects_bad_grids():
     doc = minimal_doc()
     doc["field_grid"]["count"] = 0

@@ -1,12 +1,14 @@
 """The array '%.17g' kernel and the spectrum writer against Python's text.
 
-_format_17g must spell every float64 exactly as '%.17g' % v does, and
+_write_17g must spell every float64 exactly as '%.17g' % v does, and
 write_spectrum_csv must write the same bytes as the per-field loop it
 replaced, kept here as reference_write_spectrum_csv.  Hypothesis runs
 derandomized, so failures reproduce.
 """
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +18,10 @@ from hypothesis import strategies as st
 
 from cavmag.core import PERMALLOY, YIG, ModeSpec
 from cavmag.dataio import (
-    _FORMAT_WIDTH,
     _POW10,
     _WRITE_BLOCK,
     SPECTRUM_HEADER,
-    _format_17g,
+    _write_17g,
     format_float,
     write_spectrum_csv,
 )
@@ -49,9 +50,11 @@ def reference_write_spectrum_csv(path, spectrum):
 
 def assert_spells_17g(values):
     values = np.asarray(values, dtype=np.float64)
-    text = _format_17g(values)
-    assert text.shape == (values.size, _FORMAT_WIDTH)
-    got = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in text]
+    slots = np.zeros((values.size, 4), dtype="<u8")
+    _write_17g(values, slots, ord("\n"))
+    text = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in slots]
+    assert all(t.endswith("\n") for t in text)
+    got = [t[:-1] for t in text]
     assert got == ["%.17g" % v for v in values.tolist()]
 
 
@@ -126,6 +129,41 @@ def test_specials():
     assert_spells_17g(SPECIALS + subnormals.tolist())
 
 
+def with_trailing_zeros(e, z):
+    """A double whose 17 '%.17g' digits D, at decimal exponent e, end in
+    exactly z zeros, or None if no candidate D has one.  D = d·10^16 +
+    d'·10^z, with zeros between, is tried first, then random digits."""
+    width = 17 - z  # digits of D before its trailing zeros
+    rng = random.Random(17 * e + z)
+    if width == 1:
+        heads = list(range(1, 10))
+    else:
+        heads = [d * 10 ** (width - 1) + last for d in range(1, 10) for last in range(1, 10)]
+        heads += [rng.randrange(10 ** (width - 1), 10**width) for _ in range(300)]
+    for head in heads:
+        if head % 10 == 0:
+            continue
+        digits = head * 10**z
+        value = float(Fraction(digits) * Fraction(10) ** (e - 16))  # the nearest double
+        if round(Fraction(value) * Fraction(10) ** (16 - e)) == digits:
+            return value
+    return None
+
+
+def test_every_exponent_and_trailing_zero_count():
+    values, missing = [0.0, -0.0], []
+    for e in range(-6, 16):
+        for z in range(17):
+            value = with_trailing_zeros(e, z)
+            if value is None:
+                missing.append((e, z))
+            else:
+                values += [value, -value]
+    # d·10^-5 for d = 1..9: no double's 17 digits end in 16 zeros there.
+    assert missing == [(-5, 16)]
+    assert_spells_17g(values)
+
+
 def test_powers_of_ten_are_exact():
     assert [Fraction(p) for p in _POW10] == [Fraction(10) ** k for k in range(23)]
 
@@ -149,6 +187,40 @@ def test_writer_bytes_match_reference(tmp_path, n_fields):
     write_spectrum_csv(tmp_path / "new.csv", spectrum)
     reference_write_spectrum_csv(tmp_path / "ref.csv", spectrum)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_fields", [1, _WRITE_BLOCK + 1])
+def test_writer_bytes_match_reference_for_every_row_padding(tmp_path, n_fields):
+    rng = np.random.default_rng(n_fields)
+    fields = 100.0 + np.arange(n_fields)  # 3 characters each
+    paddings = set()
+    for width in range(1, 9):
+        freqs = 10.0 ** (width - 1) + np.arange(5)  # width characters each
+        paddings.add((3 + width + 2) % 8)
+        values = random_values(rng, (n_fields, freqs.size))
+        values[0, 0] = complex(5e-324, 1e300)
+        values[-1, -1] = complex(-1e300, -2.2250738585072014e-308)  # 24 characters
+        spectrum = SpectrumMap(fields, freqs, values)
+        write_spectrum_csv(tmp_path / "new.csv", spectrum)
+        reference_write_spectrum_csv(tmp_path / "ref.csv", spectrum)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert paddings == set(range(8))
+
+
+def test_writer_memory_does_not_grow_with_the_field_count(tmp_path):
+    rng = np.random.default_rng(5)
+    freqs = np.linspace(27.2, 31.2, 401)
+    peaks = []
+    for n_fields in (2 * _WRITE_BLOCK, 16 * _WRITE_BLOCK):
+        values = rng.normal(size=(n_fields, freqs.size)) + 1j * rng.normal(size=(n_fields, freqs.size))
+        spectrum = SpectrumMap(np.linspace(200.0, 1400.0, n_fields), freqs, values)
+        tracemalloc.start()
+        try:
+            write_spectrum_csv(tmp_path / "map.csv", spectrum)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_writer_bytes_match_reference_on_a_device_map(tmp_path):
