@@ -342,8 +342,11 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray, work
     stripline vector w and freqs the W probe frequencies.  Each response
     matrix M = i (omega I - H) is factored P M = L U by Gaussian
     elimination with partial pivoting (largest |re| + |im|, first on
-    ties, as in LAPACK), run entry by entry on (F, W) arrays, so every
-    grid point goes through the same arithmetic whatever the grid shape.
+    ties, as in LAPACK; a NaN wins, the first one if several, as under
+    argmax), run entry by entry on (F, W) arrays, so every grid point
+    goes through the same arithmetic whatever the grid shape.  The pivot
+    row is picked by strict > comparisons down the candidate rows; the
+    NaN test runs only on a call whose candidates hold a NaN.
     Returns (values, cond, x): values and cond are (F, W), with
     values = w . x for M x = w, and x is the list of the n per-mode (F, W)
     arrays of the back substitution, returned as computed (the map fit
@@ -393,9 +396,21 @@ def _transmission(hams: np.ndarray, weights: np.ndarray, freqs: np.ndarray, work
             for r in range(k + 1, n):
                 own(r, k)
             parts = np.abs(slots[k:, k].view(np.float64))
-            pivot = (parts[..., 0::2] + parts[..., 1::2]).argmax(axis=0)
-            for r in range(k + 1, n):
-                swap = pivot == r - k
+            size = parts[..., 0::2] + parts[..., 1::2]
+            # swaps[c] marks the points whose pivot is row k + 1 + c: the
+            # row beats every row above it, and no row below beats it
+            best, swaps = size[0], []
+            has_nan = math.isnan(size.sum())  # sizes are >= 0: NaN only from a NaN
+            for c in range(1, n - k):
+                beats = size[c] > best
+                if has_nan:  # the first NaN wins, as under argmax
+                    beats |= np.isnan(size[c]) & ~np.isnan(best)
+                for swap in swaps:
+                    swap &= ~beats
+                swaps.append(beats)
+                if c < n - k - 1:
+                    best = np.maximum(best, size[c])  # keeps a NaN
+            for r, swap in enumerate(swaps, k + 1):
                 for j in range(k, n + 1) if swap.any() else ():  # left of k is only L
                     own(k, j)
                     own(r, j)

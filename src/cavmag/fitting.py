@@ -468,7 +468,10 @@ def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
     imaginary parts count as separate residuals for the error model.
     The model runs block by block as in compute_map, with the same
     SingularResponse, and only (f, J^T r, J^T J) accumulate, so no
-    full-grid residual or Jacobian is held.
+    full-grid residual or Jacobian is held.  A grid of up to
+    sweep._BLOCK_POINTS points (32 x 401; the criterion-3 62 x 101 grid
+    among them) is one kernel call per evaluation; on a larger grid the
+    sums group by block, which moves the result only by roundoff.
     """
     n_data = 2 * data.values.size
     if data.values.size < len(problem.free):

@@ -277,26 +277,29 @@ def _stack(arrays: dict, fields) -> tuple[np.ndarray, np.ndarray]:
     return hams, math.sqrt(2.0) * np.sqrt(beta)
 
 
-# Fields per block of the transmission kernel, so temporaries stay
-# independent of the grid size.
-_FIELD_BLOCK = 32
+# Grid points per block of the transmission kernel, so temporaries stay
+# independent of the grid size: 32 fields of full_device's 401 frequencies.
+_BLOCK_POINTS = 32 * 401
 
 
 def _each_block(hams, weights, fields: np.ndarray, freqs: np.ndarray, visit) -> None:
     """Run the transmission kernel on a model's _stack over checked axes,
-    _FIELD_BLOCK fields at a time, calling visit(block, values, x) on each block.
+    block by block, calling visit(block, values, x) on each block.
 
-    block is the slice of fields covered, values the block's (fields,
-    freqs) transmission and x the kernel's per-mode solution arrays.
-    Raises SingularResponse at the first offending point in row-major
-    order, before visiting that point's block.
+    A block is max(1, _BLOCK_POINTS // len(freqs)) fields: a grid of up
+    to _BLOCK_POINTS points is one kernel call, and a wider frequency axis
+    gets fewer fields per block.  block is the slice of fields covered,
+    values the block's (fields, freqs) transmission and x the kernel's
+    per-mode solution arrays.  Raises SingularResponse at the first
+    offending point in row-major order, before visiting that point's block.
     """
-    # One work array for every block: a warm full_device compute_map then
-    # takes 0-2.1k minor page faults whether or not a block's values and x
-    # are freed before the next block runs.
-    work = _kernel_work(hams.shape[-1], min(fields.size, _FIELD_BLOCK), freqs.size)
-    for start in range(0, fields.size, _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
+    step = max(1, _BLOCK_POINTS // freqs.size)
+    # One work array for every block, and a block's results are freed
+    # before the next block runs, so the memory in use peaks at one
+    # block's whatever the number of fields.
+    work = _kernel_work(hams.shape[-1], min(fields.size, step), freqs.size)
+    for start in range(0, fields.size, step):
+        block = slice(start, start + step)
         values, cond, x = _transmission(hams[block], weights, freqs, work)
         bad = np.argwhere(cond > SINGULAR_COND_LIMIT)
         if bad.size:
@@ -305,13 +308,16 @@ def _each_block(hams, weights, fields: np.ndarray, freqs: np.ndarray, visit) -> 
                 f"response matrix numerically singular at h={format_float(fields[start + i])}, "
                 f"omega={format_float(freqs[j])} (estimated condition number {cond[i, j]:.3e})")
         visit(block, values, x)
+        del values, cond, x
 
 
 def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     """Transmission map over a field x frequency grid.
 
     Each grid point equals s21(instantiate(template, h), omega) exactly:
-    both run the same elementwise partial-pivot elimination.
+    both run the same elementwise partial-pivot elimination, here over
+    blocks of whole fields of up to _BLOCK_POINTS points (_each_block),
+    so the block size never changes a value.
     SingularResponse is decided, as in s21, by the 2-norm condition
     number of the response matrix (an SVD), reported at the first
     offending point in row-major order.  A passivity bound only

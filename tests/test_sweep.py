@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,9 +31,9 @@ from cavmag.errors import (
     WindowTooNarrow,
 )
 from cavmag import sweep
-from cavmag.fitting import FitProblem, FreeParameter
+from cavmag.fitting import FitProblem, FreeParameter, fit_map
 from cavmag.sweep import (
-    _FIELD_BLOCK,
+    _BLOCK_POINTS,
     _stack,
     BranchCurves,
     SpectrumMap,
@@ -333,10 +334,13 @@ def test_screened_guard_reports_first_point_across_field_blocks():
     # the only singular probes sit in the third block of fields, so the
     # earlier blocks are screened clean before the guard fires
     template = lossy_pair(0.0)
-    fields = np.linspace(900.0, 1100.0, 2 * _FIELD_BLOCK + 7)
-    k = 2 * _FIELD_BLOCK + 3
+    width = 8  # probe frequencies, so a block holds _BLOCK_POINTS // width fields
+    step = _BLOCK_POINTS // width
+    fields = np.linspace(900.0, 1100.0, 2 * step + 7)
+    k = 2 * step + 3
     eigen = compute_branches(template, fields[k : k + 1]).branches.real[0]
-    freqs = np.concatenate([np.linspace(27.0, 28.0, 5), np.sort(eigen), [31.5]])
+    freqs = np.concatenate([np.linspace(27.0, 28.0, width - 3), np.sort(eigen), [31.5]])
+    assert freqs.size == width
     expected = unscreened_guard(template, fields, freqs)
     assert expected is not None and f"h={format_float(fields[k])}," in expected
     assert guard_outcome(template, fields, freqs) == expected
@@ -344,6 +348,46 @@ def test_screened_guard_reports_first_point_across_field_blocks():
     damped = lossy_pair(1e-10)
     assert unscreened_guard(damped, fields, freqs) is None
     assert guard_outcome(damped, fields, freqs) is None
+
+
+@pytest.mark.parametrize("fields_per_block", [1, 7])
+def test_block_size_leaves_maps_unchanged_and_fits_within_roundoff(monkeypatch, fields_per_block):
+    # 7 fields per block leaves a partial last block on the 24 fields
+    template = two_magnon_template()
+    fields = np.concatenate([np.linspace(940.0, 1060.0, 12), np.linspace(5800.0, 5960.0, 12)])
+    freqs = np.linspace(28.6, 29.8, 31)
+    data = compute_map(template, fields, freqs)
+    problem = FitProblem(template, (FreeParameter("g:cpw:py", 0.05, 0.5, 0.15),
+                                    FreeParameter("g:cpw:yig", 0.05, 0.5, 0.3)))
+    noisy = SpectrumMap(fields, freqs, data.values + 0.01 * np.exp(1j * np.outer(fields, freqs)))
+    one_block = fit_map(noisy, problem)
+    monkeypatch.setattr(sweep, "_BLOCK_POINTS", fields_per_block * freqs.size)
+    blocked = compute_map(template, fields, freqs)
+    assert np.array_equal(blocked.values.view(np.uint64), data.values.view(np.uint64))
+    refit = fit_map(noisy, problem)
+    assert (refit.iterations, refit.converged) == (one_block.iterations, one_block.converged)
+    got = [refit.residual, *refit.params.values(), *refit.stderr.values()]
+    want = [one_block.residual, *one_block.params.values(), *one_block.stderr.values()]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_block_memory_does_not_grow_with_the_field_count():
+    # a wide frequency axis gets fewer fields per block, so the work array
+    # and the kernel's temporaries stay those of one block of points
+    template = two_magnon_template()
+    freqs = np.linspace(28.0, 30.4, 2001)
+
+    def peak(count):
+        fields = np.linspace(900.0, 1100.0, count)
+        hams, weights = _stack(template.arrays, fields)
+        tracemalloc.start()
+        try:
+            sweep._each_block(hams, weights, fields, freqs, lambda block, values, x: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) <= 1.05 * peak(8)
 
 
 def test_map_subset_invariance():

@@ -30,7 +30,7 @@ from cavmag.core import (
 from test_exceptional_points import DELTAS, three_mode_ep, two_mode_ep
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-BLOCK_PAST = 40  # grids run from one point to past one 32-field block
+BLOCK_PAST = 40  # grids run from one point to 40 fields and 40 frequencies
 
 
 def reference_transmission(hams, weights, freqs):
@@ -157,10 +157,37 @@ def stacks(draw):
     return hams, weights, freqs
 
 
+def pivot_stack(*columns, rest=(2.0, 0.3, 1.0)):
+    """Three-mode fields whose first column (H_00, H_10, H_20) is given
+    per field, and (H_11, H_21, H_22) by rest, probed at omega = 0.5 and
+    1: the first pivot is chosen among sizes |re| + |im| of
+    i (omega - H_00), i H_10 and i H_20.  A NaN entry makes a NaN size,
+    and 1e308 + 1e308j an infinite one."""
+    h11, h21, h22 = rest
+    hams = np.array([[[h0, h1, h2], [h1, h11, h21], [h2, h21, h22]] for h0, h1, h2 in columns],
+                    dtype=complex)
+    return hams, np.ones(3), np.array([0.5, 1.0])
+
+
+BIG = complex(1e308, 1e308)
+
+
 @SETTINGS
 @given(stack=stacks(), spare_fields=st.integers(0, 8))
 @example(stack=(np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex), np.ones(2),
                 np.array([0.0, 1.0, -1.0])), spare_fields=0)
+# sizes 1, 1, 1 at omega = 1 (three-way tie), 0.5, 1, 1 at omega = 0.5
+@example(stack=pivot_stack((0.0, 0.5 + 0.5j, -1.0)), spare_fields=0)
+# a NaN in row 1 wins over a larger finite row 2
+@example(stack=pivot_stack((0.0, math.nan, 5.0)), spare_fields=0)
+# a NaN in row 0 wins over larger finite rows below it
+@example(stack=pivot_stack((math.nan, 3.0, 4.0)), spare_fields=1)
+# sizes 0.5, 0.7, 1 at omega = 0.5: row 2 alone is exchanged with row 0,
+# and the next pivot then ties between the two rows left
+@example(stack=pivot_stack((0.0, 0.7, 1.0), rest=(0.0, -1.0, 0.0)), spare_fields=0)
+# inf against NaN, in either order and with inf in row 0
+@example(stack=pivot_stack((0.0, BIG, math.nan), (0.0, math.nan, BIG), (BIG, math.nan, 1.0)),
+         spare_fields=0)
 def test_kernel_matches_reference_bit_for_bit(stack, spare_fields):
     check_kernel(*stack, spare_fields)
 
