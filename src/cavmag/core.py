@@ -8,6 +8,9 @@ top: the effective non-Hermitian coupling matrix, the complex
 transmission s21, the sorted complex eigenvalue branches, and the
 field-dependent ferromagnetic (Kittel) dispersion.
 
+Both model records, HybridSystem and sweep.SystemTemplate, validate
+through one rule into one read-only table of arrays (_model_table).
+
 Units: mode frequencies, damping rates and couplings all share a single
 model frequency unit, defined implicitly as whatever
 ``gamma * sqrt(h * (h + four_pi_m))`` yields with gamma in
@@ -18,7 +21,9 @@ the package; any display scaling is purely an output-formatting concern.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -89,10 +94,9 @@ class KittelMaterial:
 def _check_dampings(labels, alpha, beta) -> None:
     """InvalidSystem for the first mode whose alpha + beta, or whose
     stripline product beta_j beta_k with any mode, overflows the coupling
-    matrix.  labels, alpha and beta run over the modes; both overflows
-    only grow with the dampings.  A damping that is not finite in the first
-    place is left to the mode's own check."""
-    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    matrix.  labels and the float arrays alpha and beta run over the
+    modes; both overflows only grow with the dampings.  A damping that is
+    not finite in the first place is left to the mode's own check."""
     finite = np.isfinite(alpha) & np.isfinite(beta)
     beta_max = beta[finite].max(initial=0.0)  # bounds every beta_j beta_k
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where not finite
@@ -108,44 +112,81 @@ YIG = KittelMaterial(gamma=1.76e-2, four_pi_m=1750.0)
 PERMALLOY = KittelMaterial(gamma=2.94e-3, four_pi_m=10900.0)
 
 
+def _coupling_slots(names, key, g) -> tuple[int, int]:
+    """Slots (j, k), j < k, of coupling key (a, b) among names (labels in a
+    template, indices in a system): InvalidSystem unless a and b are two
+    different names and g is a finite real, not a bool."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise InvalidSystem(f"coupling key {key!r} is not a pair of modes")
+    for name in key:
+        if type(name) not in (int, str) or name not in names:  # 1.0 and True equal 1
+            raise InvalidSystem(f"coupling names unknown mode {name!r}")
+    if key[0] == key[1]:
+        raise InvalidSystem(f"self-coupling on {key[0]!r}")
+    if isinstance(g, bool) or not isinstance(g, (int, float)) or not math.isfinite(g):
+        raise InvalidSystem(f"coupling {key} must be a finite real, got {g!r}")
+    return tuple(sorted(names.index(name) for name in key))
+
+
+def _model_table(labels, rows, couplings, pair_slots):
+    """(arrays, couplings) of a model record: the one validation of both.
+
+    rows holds (omega, alpha, beta, gamma, four_pi_m) per mode and
+    pair_slots(key, g) is the record's _coupling_slots.  InvalidSystem
+    unless labels are unique, dampings pass _check_dampings, each (key, g)
+    item passes pair_slots and a repeated pair has one value.
+    arrays is read-only: the columns of rows (no sqrt(beta), so broken
+    modes warn nothing), the symmetric g and magnons, the (slot, label) of
+    each mode with gamma != 0.  couplings maps (min(a, b), max(a, b)) to g.
+    """
+    if len(set(labels)) != len(labels):
+        raise InvalidSystem(f"mode labels must be unique, got {labels}")
+    arrays = dict(zip(("omega", "alpha", "beta", "gamma", "four_pi_m"), np.array(rows, dtype=float).T))
+    _check_dampings(labels, arrays["alpha"], arrays["beta"])
+    g = arrays["g"] = np.zeros((len(labels), len(labels)))
+    normalized: dict[tuple, float] = {}
+    for item in couplings.items() if isinstance(couplings, Mapping) else couplings:
+        if not (isinstance(item, tuple) and len(item) == 2):
+            raise InvalidSystem(f"coupling {item!r} is not a (pair, g) item")
+        key, value = item
+        j, k = pair_slots(key, value)
+        pair = (min(key), max(key))
+        if normalized.setdefault(pair, float(value)) != float(value):
+            raise InvalidSystem(f"coupling pair {pair} given twice with different values")
+        g[j, k] = g[k, j] = value
+    for column in arrays.values():
+        column.flags.writeable = False
+    arrays["magnons"] = tuple((k, labels[k]) for k in np.flatnonzero(arrays["gamma"]).tolist())
+    return MappingProxyType(arrays), normalized
+
+
 @dataclass(frozen=True)
 class HybridSystem:
     """An ordered tuple of modes plus real coherent couplings.
 
-    couplings maps index pairs to coupling constants; both orientations
-    of a pair denote the same value and are normalized to (low, high)
-    keys on construction.  Absent pairs couple only dissipatively.
+    couplings maps index pairs to coupling constants (or lists (pair, g)
+    items); both orientations of a pair denote the same value and are
+    normalized to (low, high) keys on construction.  Absent pairs couple
+    only dissipatively.  arrays is the table of _model_table.
     """
 
     modes: tuple[ModeSpec, ...]
     couplings: dict[tuple[int, int], float] = field(default_factory=dict)
+    arrays: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.modes, tuple):
             object.__setattr__(self, "modes", tuple(self.modes))
-        n = len(self.modes)
-        if n < 1:
+        if not self.modes:
             raise InvalidSystem("a hybrid system needs at least one mode")
-        labels = [m.label for m in self.modes]
-        if len(set(labels)) != n:
-            raise InvalidSystem(f"mode labels must be unique, got {labels}")
-        _check_dampings(labels, [m.alpha for m in self.modes], [m.beta for m in self.modes])
-        normalized: dict[tuple[int, int], float] = {}
-        for key, g in self.couplings.items():
-            i, j = key
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidSystem(f"coupling key {key} outside mode range 0..{n - 1}")
-            if isinstance(g, complex) or not isinstance(g, (int, float)) or not math.isfinite(g):
-                raise InvalidSystem(f"coupling {key} must be a finite real, got {g!r}")
-            if i == j:
-                if g != 0.0:
-                    raise InvalidSystem(f"self-coupling at index {i} must be zero")
-                continue
-            pair = (min(i, j), max(i, j))
-            if pair in normalized and normalized[pair] != float(g):
-                raise InvalidSystem(f"coupling pair {pair} given twice with different values")
-            normalized[pair] = float(g)
-        object.__setattr__(self, "couplings", normalized)
+        rows = [(m.omega, m.alpha, m.beta, 0.0, 0.0) for m in self.modes]
+        arrays, couplings = _model_table([m.label for m in self.modes], rows, self.couplings,
+                                         lambda key, g: _coupling_slots(range(self.n), key, g))
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "couplings", couplings)
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled: copies rebuild the table
+        return HybridSystem, (self.modes, self.couplings)
 
     @property
     def n(self) -> int:
@@ -153,8 +194,6 @@ class HybridSystem:
 
     def g(self, i: int, j: int) -> float:
         """Coherent coupling between modes i and j (0 if absent or i == j)."""
-        if i == j:
-            return 0.0
         return self.couplings.get((min(i, j), max(i, j)), 0.0)
 
 
@@ -259,8 +298,7 @@ def lambda_to_beta(lam: float) -> float:
 
 def stripline_vector(system: HybridSystem) -> np.ndarray:
     """Drive-and-readout weight vector: sqrt(2) * sqrt(beta_j) per mode."""
-    beta = np.array([m.beta for m in system.modes], dtype=float)
-    return math.sqrt(2.0) * np.sqrt(beta)
+    return math.sqrt(2.0) * np.sqrt(system.arrays["beta"])
 
 
 # ── Coupling matrix, transmission, eigenbranches ───────────────────────
@@ -272,16 +310,13 @@ def build_coupling_hamiltonian(system: HybridSystem) -> np.ndarray:
     Diagonal entries are omega_j - i (alpha_j + beta_j); off-diagonal
     entries combine the coherent coupling with the dissipative stripline
     cross-term, g(j, k) - i sqrt(beta_j beta_k).  The result is complex
-    symmetric (equal to its own transpose), not Hermitian.  ModeSpec and
-    HybridSystem validate on construction, so nothing is checked here:
-    passivity diagnostics rely on this to report on deliberately broken
-    systems instead of raising.
+    symmetric (equal to its own transpose), not Hermitian.  It is read
+    from the table the system validated into (_model_table), so nothing
+    is checked here: passivity diagnostics rely on this to report on
+    deliberately broken systems instead of raising.
     """
-    omega, alpha, beta = np.array([(m.omega, m.alpha, m.beta) for m in system.modes], dtype=float).T
-    g = np.zeros((system.n, system.n))
-    for (i, j), value in system.couplings.items():
-        g[i, j] = g[j, i] = value
-    return _coupling_matrix(omega, alpha, beta, g)
+    arrays = system.arrays
+    return _coupling_matrix(arrays["omega"], arrays["alpha"], arrays["beta"], arrays["g"])
 
 
 def _coupling_matrix(omega, alpha, beta, g) -> np.ndarray:

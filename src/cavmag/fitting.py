@@ -219,7 +219,7 @@ class FitProblem:
             if slot[0] == "g":
                 for side in ("lower", "upper"):
                     try:
-                        template._check_coupling(*(order[k] for k in slot[1]), getattr(p, side))
+                        template._check_coupling(tuple(order[k] for k in slot[1]), getattr(p, side))
                     except InvalidSystem as exc:
                         raise InvalidSystem(f"free parameters at their {side} bounds: {exc}") from None
         object.__setattr__(self, "slots", tuple(names))

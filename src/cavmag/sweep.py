@@ -2,12 +2,13 @@
 
 A SystemTemplate is a hybrid system with the magnon frequencies left
 open; instantiating it at an applied field fills them in through the
-Kittel dispersion.  A template validates once, on construction, into a
-read-only table of arrays (SystemTemplate.arrays), from which sweeps and
-fits build their field-stacked coupling matrices (_stack) with no
-per-field system objects.  Sweeping the field yields transmission maps
-(field x frequency grids of s21) and branch curves (sorted complex
-eigenvalues per field), from which anticrossing gaps are measured.
+Kittel dispersion.  A template validates once, on construction, through
+the rule every model record shares (core._model_table), into a read-only
+table of arrays (SystemTemplate.arrays), from which sweeps and fits build
+their field-stacked coupling matrices (_stack) with no per-field system
+objects.  Sweeping the field yields transmission maps (field x frequency
+grids of s21) and branch curves (sorted complex eigenvalues per field),
+from which anticrossing gaps are measured.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .core import (
     HybridSystem,
     KittelMaterial,
     ModeSpec,
-    _check_dampings,
     _coupling_matrix,
+    _coupling_slots,
     _kernel_work,
     _kittel,
+    _model_table,
     _transmission,
     field_for_frequency,
     format_float,
@@ -69,15 +71,13 @@ class TemplateMagnon:
 class SystemTemplate:
     """A hybrid system parametrized by the applied field.
 
-    Couplings are keyed by unordered label pairs.  Instantiated mode
-    order is [magnons[0], resonator, magnons[1], magnons[2], ...], which
-    reproduces the canonical three-mode layout for two magnons; in that
-    case a direct magnon-magnon coupling is rejected.
+    Couplings are keyed by unordered label pairs (a mapping, or (pair, g)
+    items).  Instantiated mode order is [magnons[0], resonator, magnons[1],
+    magnons[2], ...], which reproduces the canonical three-mode layout for
+    two magnons; in that case a direct magnon-magnon coupling is rejected.
 
-    arrays is the model as a read-only table in mode_order(): omega,
-    alpha, beta, gamma and four_pi_m per mode (omega 0 at magnons, gamma
-    and four_pi_m 0 at the resonator), the symmetric coupling matrix g,
-    and magnons, the (slot, label) of each magnon.
+    arrays is the model's table from core._model_table, in mode_order():
+    omega is 0 at magnons, gamma and four_pi_m 0 at the resonator.
     """
 
     resonator: ModeSpec
@@ -88,50 +88,24 @@ class SystemTemplate:
     def __post_init__(self):
         if not isinstance(self.magnons, tuple):
             object.__setattr__(self, "magnons", tuple(self.magnons))
-        labels = self.mode_order()
         res = self.resonator
         rows = [(0.0, m.alpha, m.beta, m.material.gamma, m.material.four_pi_m) for m in self.magnons]
         rows.insert(1, (res.omega, res.alpha, res.beta, 0.0, 0.0))  # slot 0 if no magnon
-        arrays = dict(zip(("omega", "alpha", "beta", "gamma", "four_pi_m"),
-                          np.array(rows, dtype=float).T))
-        _check_dampings(labels, arrays["alpha"], arrays["beta"])
-        if len(set(labels)) != len(labels):
-            raise InvalidSystem(f"mode labels must be unique, got {labels}")
-        normalized: dict[tuple[str, str], float] = {}
-        for (a, b), value in self.couplings.items():
-            self._check_coupling(a, b, value)
-            key = (min(a, b), max(a, b))
-            if key in normalized and normalized[key] != float(value):
-                raise InvalidSystem(f"coupling pair {key} given twice with different values")
-            normalized[key] = float(value)
-        object.__setattr__(self, "couplings", normalized)
-        index = {label: k for k, label in enumerate(labels)}
-        g = arrays["g"] = np.zeros((len(labels), len(labels)))
-        for (a, b), value in normalized.items():
-            g[index[a], index[b]] = g[index[b], index[a]] = value
-        for column in arrays.values():
-            column.flags.writeable = False
-        arrays["magnons"] = tuple((index[m.label], m.label) for m in self.magnons)
-        object.__setattr__(self, "arrays", MappingProxyType(arrays))
+        arrays, couplings = _model_table(self.mode_order(), rows, self.couplings, self._check_coupling)
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "couplings", couplings)
 
     def __reduce__(self):  # a mappingproxy cannot be pickled: copies rebuild the table
         return SystemTemplate, (self.resonator, self.magnons, self.couplings)
 
-    def _check_coupling(self, a: str, b: str, g) -> None:
-        """InvalidSystem unless g may couple modes a and b: both exist and
-        differ, g is a finite real, and g is 0 between the two magnons of a
+    def _check_coupling(self, key, g) -> tuple[int, int]:
+        """core._coupling_slots, and g 0 between the two magnons of a
         two-magnon template."""
-        labels = self.mode_order()
-        for name in (a, b):
-            if name not in labels:
-                raise InvalidSystem(f"coupling names unknown mode {name!r}")
-        if a == b:
-            raise InvalidSystem(f"self-coupling on {a!r}")
-        if isinstance(g, complex) or not isinstance(g, (int, float)) or not math.isfinite(g):
-            raise InvalidSystem(f"coupling {(a, b)} must be a finite real, got {g!r}")
-        if len(self.magnons) == 2 and {a, b} == {m.label for m in self.magnons} and g != 0.0:
+        slots = _coupling_slots(self.mode_order(), key, g)
+        if len(self.magnons) == 2 and slots == (0, 2) and g != 0.0:
             raise InvalidSystem("two-magnon templates are resonator-mediated: "
-                                f"direct coupling {(a, b)} is not allowed")
+                                f"direct coupling {key} is not allowed")
+        return slots
 
     def mode_order(self) -> list[str]:
         """Labels in instantiation order."""

@@ -70,14 +70,27 @@ def test_system_normalizes_coupling_orientation():
 def test_system_rejects_bad_couplings():
     a = ModeSpec("a", 29.0, 0.01, 0.02)
     b = ModeSpec("b", 29.4, 0.01, 0.02)
-    with pytest.raises(InvalidSystem, match="outside mode range"):
+    with pytest.raises(InvalidSystem, match="unknown mode 2"):
         HybridSystem((a, b), {(0, 2): 0.1})
-    with pytest.raises(InvalidSystem, match="self-coupling"):
-        HybridSystem((a, b), {(1, 1): 0.1})
+    for value in (0.1, 0.0):  # a self-coupling is rejected at any value
+        with pytest.raises(InvalidSystem, match="self-coupling"):
+            HybridSystem((a, b), {(1, 1): value})
     with pytest.raises(InvalidSystem, match="twice"):
         HybridSystem((a, b), {(0, 1): 0.1, (1, 0): 0.2})
+    with pytest.raises(InvalidSystem, match="twice"):  # a repeat as written is seen in a sequence
+        HybridSystem((a, b), [((0, 1), 0.1), ((0, 1), 0.2)])
     with pytest.raises(InvalidSystem, match="unique"):
         HybridSystem((a, ModeSpec("a", 29.4, 0.01, 0.02)))
+    # malformed keys end at construction, not in a traceback from s21
+    for key, shown in [((0, 1.0), "unknown mode 1.0"), ((True, 1), "unknown mode True"),
+                       ((0, 1, 2), "not a pair of modes"), ("ab", "not a pair of modes")]:
+        with pytest.raises(InvalidSystem, match=shown):
+            HybridSystem((a, b), {key: 0.1})
+    for value in (True, 1j, math.nan, "0.1"):
+        with pytest.raises(InvalidSystem, match="must be a finite real"):
+            HybridSystem((a, b), {(0, 1): value})
+    with pytest.raises(InvalidSystem, match="not a .pair, g. item"):
+        HybridSystem((a, b), [(0, 1, 0.1)])
 
 
 @pytest.mark.parametrize("dampings, shown", [

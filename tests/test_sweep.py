@@ -89,12 +89,18 @@ def test_template_rejects_unknown_and_self_couplings():
             magnons=(TemplateMagnon("py", 0.02, 0.006, PERMALLOY),),
             couplings={("py", "nope"): 0.1},
         )
-    with pytest.raises(InvalidSystem, match="self-coupling"):
-        SystemTemplate(
-            resonator=ModeSpec("cpw", 29.2, 0.01, 0.02),
-            magnons=(TemplateMagnon("py", 0.02, 0.006, PERMALLOY),),
-            couplings={("py", "py"): 0.1},
-        )
+    for couplings, shown in [({("py", "py"): 0.1}, "self-coupling"),
+                             ({("py", "py"): 0.0}, "self-coupling"),
+                             ({("py", "cpw", "x"): 0.1}, "not a pair of modes"),
+                             ({("py", 0): 0.1}, "unknown mode 0"),
+                             ({("py", "cpw"): True}, "must be a finite real"),
+                             ([(("py", "cpw"), 0.1), (("cpw", "py"), 0.2)], "given twice")]:
+        with pytest.raises(InvalidSystem, match=shown):
+            SystemTemplate(
+                resonator=ModeSpec("cpw", 29.2, 0.01, 0.02),
+                magnons=(TemplateMagnon("py", 0.02, 0.006, PERMALLOY),),
+                couplings=couplings,
+            )
 
 
 def test_template_rejects_direct_magnon_coupling():
@@ -141,10 +147,12 @@ def test_template_arrays_are_read_only():
     for kind in ("omega", "alpha", "beta", "gamma", "four_pi_m", "g"):
         with pytest.raises(ValueError, match="read-only"):
             template.arrays[kind][0] = 1.0
-    for clone in (copy.deepcopy(template), pickle.loads(pickle.dumps(template))):
-        assert clone == template
-        assert np.array_equal(clone.arrays["g"], template.arrays["g"])
-        assert not clone.arrays["g"].flags.writeable
+    system = instantiate(template, 1000.0)
+    for record in (template, system):
+        for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record
+            assert np.array_equal(clone.arrays["g"], record.arrays["g"])
+            assert not clone.arrays["g"].flags.writeable
 
 
 def test_instantiate_mode_order_and_kittel():
@@ -157,6 +165,10 @@ def test_instantiate_mode_order_and_kittel():
     assert system.g(0, 1) == 0.2
     assert system.g(1, 2) == 0.21
     assert system.g(0, 2) == 0.0
+    # the system's table: its own omega, no material, no magnon slots
+    assert list(system.arrays["omega"]) == [m.omega for m in system.modes]
+    assert not system.arrays["gamma"].any() and system.arrays["magnons"] == ()
+    assert np.array_equal(system.arrays["g"], template.arrays["g"])
 
 
 # ── Grid containers ────────────────────────────────────────────────────
