@@ -1,26 +1,29 @@
 """Run configuration: a single versioned JSON document.
 
-The module only maps the document onto the model records and back.
-The schema is strict: unknown keys are rejected with the offending key
-named, every mode carries exactly one of beta or lambda (lambda is
-converted once on load) and exactly one of omega or material.  Model
-rules stay with the model: parse_config builds the template once, which
-checks labels and couplings, and fit names go through
-fitting.resolve_parameter, all surfacing as ConfigError.  A fit block
-naming both aliases of a coupling loads; FitProblem rejects it.
-Writing is canonical (sorted keys, two-space indent, trailing newline)
-so a write - read - write cycle is byte-identical.
+The module only maps the document onto the model records and back, and
+checks only its shape.  The schema is strict: unknown keys are rejected
+with the offending key named, every mode carries exactly one of beta or
+lambda (lambda is converted once on load) and exactly one of omega or
+material.  Model rules stay with the model: each number a record owns
+goes to it unchecked (the records check every scalar through
+core._real), parse_config builds the template once, which checks labels
+and couplings, and fit names go through fitting.resolve_parameter, all
+surfacing as ConfigError.  _number applies the same rule to the numbers
+no record owns: grid ends, display_scale, the crosslink, thicknesses,
+fit.free bounds and min_separation.  A fit block naming both aliases of
+a coupling loads; FitProblem rejects it.  Writing is canonical (sorted
+keys, two-space indent, trailing newline) so a write - read - write
+cycle is byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import KittelMaterial, ModeSpec, lambda_to_beta
+from .core import KittelMaterial, ModeSpec, _real, lambda_to_beta
 from .dataio import read_text
 from .errors import ConfigError, DataFormatError, InvalidSystem, NegativeCoupling
 from .fitting import resolve_parameter
@@ -41,24 +44,9 @@ def _expect_keys(obj: dict, context: str, required: tuple[str, ...], optional: t
         raise ConfigError(f"{context}: missing key(s) {', '.join(map(repr, missing))}")
 
 
-def _finite(value) -> float | None:
-    """A JSON number as a finite float, or None (booleans, other types,
-    non-finite values and integers too large for a float).
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _number(obj: dict, context: str, key: str) -> float:
-    value = _finite(obj[key])
-    if value is None:
-        raise ConfigError(f"{context}: {key!r} must be a finite number, got {obj[key]!r}")
-    return value
+def _number(obj: dict, context: str, key: str, bound: str = "") -> float:
+    """core._real of a number that no model record owns."""
+    return _real(obj[key], f"{context}: {key!r}", bound)
 
 
 @dataclass(frozen=True)
@@ -121,26 +109,25 @@ def _template(modes, couplings) -> SystemTemplate:
 
 
 def _parse_mode(entry: dict, context: str) -> ModeSpec | TemplateMagnon:
-    """The resonator as a ModeSpec, a magnon as a TemplateMagnon."""
+    """The resonator as a ModeSpec, a magnon as a TemplateMagnon.  A
+    number the records reject is reported with the mode's context."""
     _expect_keys(entry, context, ("label", "alpha"), ("beta", "lambda", "omega", "material"))
     label = entry["label"]
     if not isinstance(label, str) or not label:
         raise ConfigError(f"{context}: 'label' must be a nonempty string")
-    alpha = _number(entry, context, "alpha")
-    has_beta, has_lambda = "beta" in entry, "lambda" in entry
-    if has_beta == has_lambda:
+    if ("beta" in entry) == ("lambda" in entry):
         raise ConfigError(f"{context}: give exactly one of 'beta' or 'lambda'")
-    beta = _number(entry, context, "beta") if has_beta else lambda_to_beta(_number(entry, context, "lambda"))
-    has_omega, has_material = "omega" in entry, "material" in entry
-    if has_omega == has_material:
+    if ("omega" in entry) == ("material" in entry):
         raise ConfigError(f"{context}: give exactly one of 'omega' or 'material'")
-    if has_omega:
-        return ModeSpec(label=label, omega=_number(entry, context, "omega"), alpha=alpha, beta=beta)
-    raw = entry["material"]
-    _expect_keys(raw, f"{context}.material", ("gamma", "four_pi_m"))
-    material = KittelMaterial(gamma=_number(raw, f"{context}.material", "gamma"),
-                              four_pi_m=_number(raw, f"{context}.material", "four_pi_m"))
-    return TemplateMagnon(label=label, alpha=alpha, beta=beta, material=material)
+    try:
+        beta = entry["beta"] if "beta" in entry else lambda_to_beta(entry["lambda"])
+        if "omega" in entry:
+            return ModeSpec(label=label, omega=entry["omega"], alpha=entry["alpha"], beta=beta)
+        _expect_keys(entry["material"], f"{context}.material", ("gamma", "four_pi_m"))
+        return TemplateMagnon(label=label, alpha=entry["alpha"], beta=beta,
+                              material=KittelMaterial(**entry["material"]))
+    except InvalidSystem as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _parse_grid(entry: dict, context: str) -> GridSpec:
@@ -186,9 +173,7 @@ def _parse_fit(entry: dict, template: SystemTemplate) -> FitConfig:
         raise ConfigError(f"fit: 'n_ridges' must be an integer >= 1, got {n_ridges!r}")
     min_separation = None
     if "min_separation" in entry:
-        min_separation = _number(entry, "fit", "min_separation")
-        if min_separation <= 0:
-            raise ConfigError("fit: 'min_separation' must be > 0")
+        min_separation = _number(entry, "fit", "min_separation", "> 0")
     return FitConfig(method=method, free=tuple(dict(item) for item in raw_free),
                      n_ridges=n_ridges, min_separation=min_separation)
 
@@ -197,19 +182,12 @@ def _parse_thickness(entry: dict, template: SystemTemplate) -> ThicknessConfig:
     _expect_keys(entry, "thickness",
                  ("slope", "intercept", "t_min", "t_max", "thicknesses", "crosslink", "varied"),
                  ("linked",))
-    model = ThicknessModel(slope=_number(entry, "thickness", "slope"),
-                           intercept=_number(entry, "thickness", "intercept"),
-                           t_min=_number(entry, "thickness", "t_min"),
-                           t_max=_number(entry, "thickness", "t_max"))
+    model = ThicknessModel(slope=entry["slope"], intercept=entry["intercept"],
+                           t_min=entry["t_min"], t_max=entry["t_max"])
     raw_t = entry["thicknesses"]
     if not isinstance(raw_t, list) or not raw_t:
         raise ConfigError("thickness: 'thicknesses' must be a nonempty list")
-    thicknesses = []
-    for value in raw_t:
-        number = _finite(value)
-        if number is None:
-            raise ConfigError(f"thickness: bad thickness value {value!r}")
-        thicknesses.append(number)
+    thicknesses = [_real(value, "thickness: thickness value") for value in raw_t]
     crosslink = entry["crosslink"]
     _expect_keys(crosslink, "thickness.crosslink", ("slope", "intercept"))
     varied = entry["varied"]
@@ -258,22 +236,18 @@ def parse_config(document: str) -> RunConfig:
             if (not isinstance(pair, list) or len(pair) != 2
                     or any(not isinstance(x, str) for x in pair)):
                 raise ConfigError(f"couplings[{k}]: 'pair' must be two mode labels")
-            couplings.append((pair[0], pair[1], _number(item, f"couplings[{k}]", "g")))
+            couplings.append((pair[0], pair[1], item["g"]))
         template = _template(modes, couplings)
+        couplings = [(a, b, template.coupling(a, b)) for a, b, _ in couplings]  # g as a float
         noise = None
         if "noise" in raw:
             _expect_keys(raw["noise"], "noise", ("sigma", "seed"))
-            seed = raw["noise"]["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError(f"noise: 'seed' must be an integer, got {seed!r}")
-            noise = NoiseSpec(sigma=_number(raw["noise"], "noise", "sigma"), seed=seed)
+            noise = NoiseSpec(**raw["noise"])
         fit = _parse_fit(raw["fit"], template) if "fit" in raw else None
         thickness = _parse_thickness(raw["thickness"], template) if "thickness" in raw else None
         display_scale = 1.0
         if "display_scale" in raw:
-            display_scale = _number(raw, "config", "display_scale")
-            if display_scale <= 0:
-                raise ConfigError("config: 'display_scale' must be > 0")
+            display_scale = _number(raw, "config", "display_scale", "> 0")
         config = RunConfig(version=version, modes=modes, couplings=tuple(couplings),
                            field_grid=_parse_grid(raw["field_grid"], "field_grid"),
                            freq_grid=_parse_grid(raw["freq_grid"], "freq_grid"),

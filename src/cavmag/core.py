@@ -10,6 +10,8 @@ field-dependent ferromagnetic (Kittel) dispersion.
 
 Both model records, HybridSystem and sweep.SystemTemplate, validate
 through one rule into one read-only table of arrays (_model_table).
+Every scalar of the package, in a record or at an entry point, passes
+one check, _real, and is stored as the float it returns.
 
 Units: mode frequencies, damping rates and couplings all share a single
 model frequency unit, defined implicitly as whatever
@@ -50,6 +52,32 @@ def format_float(value: float) -> str:
 # ── Mode and system types ──────────────────────────────────────────────
 
 
+def _real(value, what: str, bound: str = "") -> float:
+    """value as a float: the one check of every model scalar.
+
+    InvalidSystem unless value is an int or a float, not a bool, whose
+    float is finite and meets bound ("", ">= 0" or "> 0"); an int too
+    large for a float is rejected like inf.  what names the value.
+    """
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    below = number <= 0 if bound == "> 0" else bound == ">= 0" and number < 0
+    if not math.isfinite(number) or below:
+        raise InvalidSystem(f"{what} must be a finite real{bound and ' ' + bound}, got {value!r}")
+    return number
+
+
+def _real_fields(record, names, prefix: str, bound: str = "") -> None:
+    """Store each named field of a frozen record as _real of its value;
+    the error names it as prefix + name."""
+    for name in names:
+        object.__setattr__(record, name, _real(getattr(record, name), prefix + name, bound))
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     """One damped oscillator mode.
@@ -65,12 +93,7 @@ class ModeSpec:
     beta: float
 
     def __post_init__(self):
-        for name in ("omega", "alpha", "beta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidSystem(f"mode {self.label!r}: {name} must be a finite real, got {value!r}")
-            if value < 0:
-                raise InvalidSystem(f"mode {self.label!r}: {name} must be >= 0, got {value!r}")
+        _real_fields(self, ("omega", "alpha", "beta"), f"mode {self.label!r}: ", ">= 0")
 
 
 @dataclass(frozen=True)
@@ -85,10 +108,7 @@ class KittelMaterial:
     four_pi_m: float
 
     def __post_init__(self):
-        for name in ("gamma", "four_pi_m"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-                raise InvalidSystem(f"material constant {name} must be finite and > 0, got {value!r}")
+        _real_fields(self, ("gamma", "four_pi_m"), "material constant ", "> 0")
 
 
 def _check_dampings(labels, alpha, beta) -> None:
@@ -112,10 +132,10 @@ YIG = KittelMaterial(gamma=1.76e-2, four_pi_m=1750.0)
 PERMALLOY = KittelMaterial(gamma=2.94e-3, four_pi_m=10900.0)
 
 
-def _coupling_slots(names, key, g) -> tuple[int, int]:
-    """Slots (j, k), j < k, of coupling key (a, b) among names (labels in a
-    template, indices in a system): InvalidSystem unless a and b are two
-    different names and g is a finite real, not a bool."""
+def _coupling_slots(names, key, g) -> tuple[int, int, float]:
+    """Slots j < k of coupling key (a, b) among names (labels in a
+    template, indices in a system), and g as a float: InvalidSystem
+    unless a and b are two different names and g passes _real."""
     if not (isinstance(key, tuple) and len(key) == 2):
         raise InvalidSystem(f"coupling key {key!r} is not a pair of modes")
     for name in key:
@@ -123,9 +143,8 @@ def _coupling_slots(names, key, g) -> tuple[int, int]:
             raise InvalidSystem(f"coupling names unknown mode {name!r}")
     if key[0] == key[1]:
         raise InvalidSystem(f"self-coupling on {key[0]!r}")
-    if isinstance(g, bool) or not isinstance(g, (int, float)) or not math.isfinite(g):
-        raise InvalidSystem(f"coupling {key} must be a finite real, got {g!r}")
-    return tuple(sorted(names.index(name) for name in key))
+    g = _real(g, f"coupling {key}")
+    return (*sorted(names.index(name) for name in key), g)
 
 
 def _model_table(labels, rows, couplings, pair_slots):
@@ -149,9 +168,9 @@ def _model_table(labels, rows, couplings, pair_slots):
         if not (isinstance(item, tuple) and len(item) == 2):
             raise InvalidSystem(f"coupling {item!r} is not a (pair, g) item")
         key, value = item
-        j, k = pair_slots(key, value)
+        j, k, value = pair_slots(key, value)
         pair = (min(key), max(key))
-        if normalized.setdefault(pair, float(value)) != float(value):
+        if normalized.setdefault(pair, value) != value:
             raise InvalidSystem(f"coupling pair {pair} given twice with different values")
         g[j, k] = g[k, j] = value
     for column in arrays.values():
@@ -236,13 +255,20 @@ def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
     return _kittel(material.gamma, material.four_pi_m, h, label)
 
 
-def _kittel(gamma, four_pi_m, h, label: str | None = None):
-    """kittel_frequency from the material constants themselves."""
+def _fields(h, bound: str) -> np.ndarray:
+    """h as a float array: NegativeField naming the first field that is
+    not finite and bound (">= 0" or "> 0")."""
     h_arr = np.asarray(h, dtype=float)
-    bad = ~(np.isfinite(h_arr) & (h_arr >= 0.0))
+    bad = ~(np.isfinite(h_arr) & ((h_arr > 0.0) if bound == "> 0" else (h_arr >= 0.0)))
     if np.any(bad):
         first = h if h_arr.ndim == 0 else h_arr[bad][0]
-        raise NegativeField(f"applied field must be finite and >= 0, got {first!r}")
+        raise NegativeField(f"applied field must be finite and {bound}, got {first!r}")
+    return h_arr
+
+
+def _kittel(gamma, four_pi_m, h, label: str | None = None):
+    """kittel_frequency from the material constants themselves."""
+    h_arr = _fields(h, ">= 0")
     with np.errstate(over="ignore"):
         out = gamma * np.sqrt(h_arr * (h_arr + four_pi_m))
     _overflow_check(out, h_arr, "frequency overflows at h", label)
@@ -273,9 +299,7 @@ def field_for_frequency(material: KittelMaterial, omega, label: str | None = Non
 def kittel_slope(material: KittelMaterial, h, label: str | None = None):
     """Local derivative d omega / d h of the Kittel branch at field h;
     overflow raises InvalidSystem as in kittel_frequency."""
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr <= 0.0):
-        raise NegativeField(f"slope needs a field > 0, got {h!r}")
+    h_arr = _fields(h, "> 0")
     m4 = material.four_pi_m
     with np.errstate(over="ignore", invalid="ignore"):
         out = material.gamma * (2.0 * h_arr + m4) / (2.0 * np.sqrt(h_arr * (h_arr + m4)))
@@ -289,11 +313,11 @@ def kittel_slope(material: KittelMaterial, h, label: str | None = None):
 def lambda_to_beta(lam: float) -> float:
     """Extrinsic damping rate from a dimensionless stripline coupling.
 
-    beta = 2 pi lambda^2; any finite real lambda is accepted.
+    beta = 2 pi lambda^2; any finite real lambda is accepted, and a beta
+    past the float range is inf, which the mode then rejects.
     """
-    if not isinstance(lam, (int, float)) or not math.isfinite(lam):
-        raise InvalidSystem(f"stripline coupling must be a finite real, got {lam!r}")
-    return 2.0 * math.pi * float(lam) ** 2
+    lam = _real(lam, "stripline coupling")
+    return 2.0 * math.pi * (lam * lam)
 
 
 def stripline_vector(system: HybridSystem) -> np.ndarray:
@@ -488,9 +512,7 @@ def s21(system: HybridSystem, omega: float) -> complex:
     decided by the SVD condition number, computed only where the
     passivity bound of _cond_bound cannot clear the limit.
     """
-    if not isinstance(omega, (int, float)) or not math.isfinite(omega):
-        raise InvalidSystem(f"probe frequency must be a finite real, got {omega!r}")
-    omega = float(omega)
+    omega = _real(omega, "probe frequency")
     ham = build_coupling_hamiltonian(system)
     values, cond, _ = _transmission(ham[None], stripline_vector(system), np.array([omega]))
     if cond[0, 0] > SINGULAR_COND_LIMIT:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _check_dampings
+from .core import _check_dampings, _real, _real_fields
 from .errors import DegenerateData, DegenerateProblem, InvalidSystem
 from .sweep import SpectrumMap, SystemTemplate, _each_block, _parabola_coefficients, _stack
 
@@ -79,10 +79,9 @@ def extract_ridges(spectrum: SpectrumMap, n_ridges: int, min_separation: float) 
     parabola is not concave, or whose vertex leaves its bracket, keeps
     its grid point and height.
     """
-    if n_ridges < 1:
-        raise InvalidSystem(f"n_ridges must be >= 1, got {n_ridges}")
-    if not (isinstance(min_separation, (int, float)) and min_separation > 0):
-        raise InvalidSystem(f"min_separation must be > 0, got {min_separation!r}")
+    if isinstance(n_ridges, bool) or not isinstance(n_ridges, int) or n_ridges < 1:
+        raise InvalidSystem(f"n_ridges must be an integer >= 1, got {n_ridges!r}")
+    min_separation = _real(min_separation, "min_separation", "> 0")
     freqs = spectrum.freqs
     magnitudes = np.abs(spectrum.values)
     centre = magnitudes[:, 1:-1]
@@ -169,10 +168,7 @@ class FreeParameter:
 
     def __post_init__(self):
         kind, _ = split_parameter_name(self.name)
-        for field_name in ("lower", "upper", "initial"):
-            value = getattr(self, field_name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidSystem(f"parameter {self.name!r}: {field_name} must be finite")
+        _real_fields(self, ("lower", "upper", "initial"), f"parameter {self.name!r}: ")
         if not self.lower < self.upper:
             raise InvalidSystem(
                 f"parameter {self.name!r}: bounds [{self.lower}, {self.upper}] leave no freedom"

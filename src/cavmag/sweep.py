@@ -29,6 +29,7 @@ from .core import (
     _kernel_work,
     _kittel,
     _model_table,
+    _real_fields,
     _transmission,
     field_for_frequency,
     format_float,
@@ -61,10 +62,7 @@ class TemplateMagnon:
     material: KittelMaterial
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-                raise InvalidSystem(f"magnon {self.label!r}: {name} must be finite and >= 0, got {value!r}")
+        _real_fields(self, ("alpha", "beta"), f"magnon {self.label!r}: ", ">= 0")
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,14 @@ class SystemTemplate:
     def __reduce__(self):  # a mappingproxy cannot be pickled: copies rebuild the table
         return SystemTemplate, (self.resonator, self.magnons, self.couplings)
 
-    def _check_coupling(self, key, g) -> tuple[int, int]:
+    def _check_coupling(self, key, g) -> tuple[int, int, float]:
         """core._coupling_slots, and g 0 between the two magnons of a
         two-magnon template."""
-        slots = _coupling_slots(self.mode_order(), key, g)
-        if len(self.magnons) == 2 and slots == (0, 2) and g != 0.0:
+        j, k, g = _coupling_slots(self.mode_order(), key, g)
+        if len(self.magnons) == 2 and (j, k) == (0, 2) and g != 0.0:
             raise InvalidSystem("two-magnon templates are resonator-mediated: "
                                 f"direct coupling {key} is not allowed")
-        return slots
+        return j, k, g
 
     def mode_order(self) -> list[str]:
         """Labels in instantiation order."""
@@ -197,10 +195,7 @@ class ThicknessModel:
     t_max: float
 
     def __post_init__(self):
-        for name in ("slope", "intercept", "t_min", "t_max"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidSystem(f"thickness model {name} must be a finite real, got {value!r}")
+        _real_fields(self, ("slope", "intercept", "t_min", "t_max"), "thickness model ")
         if not self.t_min < self.t_max:
             raise InvalidSystem(f"thickness range is empty: [{self.t_min}, {self.t_max}]")
         for t in (self.t_min, self.t_max):

@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     SINGULAR_COND_LIMIT,
     HybridSystem,
+    _real_fields,
     _transmission,
     build_coupling_hamiltonian,
     stripline_vector,
@@ -152,8 +153,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.sigma, (int, float)) or not math.isfinite(self.sigma) or self.sigma < 0:
-            raise InvalidSystem(f"noise sigma must be finite and >= 0, got {self.sigma!r}")
+        _real_fields(self, ("sigma",), "noise ", ">= 0")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise InvalidSystem(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 

@@ -433,7 +433,7 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit, named", [
-    ({"couplings": [{"pair": ["cpw", "yig"], "g": 10**400}]}, "'g'"),
+    ({"couplings": [{"pair": ["cpw", "yig"], "g": 10**400}]}, "coupling ('cpw', 'yig') must be a finite real"),
     ({"field_grid": {"start": 800.0, "stop": 1200.0, "count": 10**400}}, "field_grid"),
 ], ids=["coupling", "count"])
 def test_integer_too_large_exits_2_naming_it(tmp_path, capsys, edit, named):
@@ -442,6 +442,20 @@ def test_integer_too_large_exits_2_naming_it(tmp_path, capsys, edit, named):
     rc = main(["map", "--config", str(config), "--out", str(tmp_path / "out.csv")])
     assert rc == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kittel", "map", "branches", "synth", "fit", "thickness"])
+def test_lambda_whose_beta_overflows_exits_2_naming_the_mode(tmp_path, capsys, command):
+    doc = small_doc(noise={"sigma": 0.01, "seed": 1})
+    del doc["modes"][1]["beta"]
+    doc["modes"][1]["lambda"] = 1e200  # 2 pi lambda^2 is past the float range
+    config = tmp_path / "big.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main([command, "--config", str(config), "--out", str(tmp_path / "out.csv"),
+               *(["--data", str(tmp_path / "none.csv")] if command == "fit" else [])])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: modes[1]: magnon 'yig': beta must be a finite real >= 0, got inf\n")
 
 
 def test_shipped_configs_drive_map(tmp_path):

@@ -183,7 +183,7 @@ def test_rejects_bad_couplings():
     expect_rejection(doc, "two mode labels")
     doc = minimal_doc()
     doc["couplings"][0]["g"] = "strong"
-    expect_rejection(doc, "finite number")
+    expect_rejection(doc, "coupling ('cpw', 'yig') must be a finite real, got 'strong'")
 
 
 def test_rejects_a_coupling_pair_repeated_with_another_value():

@@ -91,8 +91,8 @@ def test_mutated_configs_parse_or_raise_cavmag_errors(edits):
 
 
 @pytest.mark.parametrize("path, value, named", [
-    (("couplings", 0, "g"), 10**400, "'g'"),
-    (("modes", 1, "omega"), -(10**400), "'omega'"),
+    (("couplings", 0, "g"), 10**400, r"coupling \('py', 'cpw'\) must be a finite real"),
+    (("modes", 1, "omega"), -(10**400), r"modes\[1\]: mode 'cpw': omega must be a finite real >= 0"),
     (("thickness", "thicknesses", 2), 10**400, "thickness value"),
     (("field_grid", "count"), 10**400, "field_grid"),
     (("freq_grid", "count"), 2**63, "freq_grid"),

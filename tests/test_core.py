@@ -178,6 +178,11 @@ def test_kittel_slope_matches_finite_difference():
         assert math.isclose(kittel_slope(material, h), numeric, rel_tol=1e-7)
     with pytest.raises(NegativeField):
         kittel_slope(YIG, 0.0)
+    for h in (math.nan, math.inf, -math.inf):  # as kittel_frequency, not "slope overflows at h=nan"
+        with pytest.raises(NegativeField, match=f"^applied field must be finite and > 0, got {h!r}$"):
+            kittel_slope(YIG, h)
+    with pytest.raises(NegativeField, match="^applied field must be finite and > 0, got .*nan"):
+        kittel_slope(YIG, np.array([800.0, math.nan]))
 
 
 # ── Stripline coupling ─────────────────────────────────────────────────

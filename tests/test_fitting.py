@@ -95,6 +95,9 @@ def test_extract_ridges_validation():
                            np.zeros((1, 3), complex))
     with pytest.raises(InvalidSystem, match="n_ridges"):
         extract_ridges(spectrum, 0, 0.1)
+    for count in (2.5, True, 2.0, "2"):  # 2.5 never equals a peak count, so it kept every peak
+        with pytest.raises(InvalidSystem, match=f"n_ridges must be an integer >= 1, got {count!r}"):
+            extract_ridges(spectrum, count, 0.1)
     with pytest.raises(InvalidSystem, match="min_separation"):
         extract_ridges(spectrum, 1, 0.0)
     # a flat column simply yields no peaks
