@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .core import kittel_frequency
+from .core import _real, kittel_frequency
 from .dataio import (
     format_float,
     read_spectrum_csv,
@@ -26,7 +26,7 @@ from .dataio import (
     write_spectrum_csv,
     write_thickness_csv,
 )
-from .errors import CavmagError, ConfigError, DataFormatError
+from .errors import CavmagError, ConfigError, DataFormatError, InvalidSystem
 from .fitting import (
     FitProblem,
     FitResult,
@@ -45,18 +45,22 @@ from .synth import NoiseSpec, synth_map
 
 
 def _parse_fields_list(text: str) -> list[float]:
+    """--fields as floats; an empty list or an empty part is an error."""
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise ConfigError(f"--fields expects comma-separated numbers, got {text!r}") from None
 
 
 def _display_scale(config: RunConfig, args) -> float:
-    if args.freq_scale is not None:
-        if not args.freq_scale > 0:
-            raise ConfigError(f"--freq-scale must be > 0, got {args.freq_scale}")
-        return args.freq_scale
-    return config.display_scale
+    """The scale of printed frequencies: --freq-scale, checked by the rule
+    of the config's display_scale, else display_scale."""
+    if args.freq_scale is None:
+        return config.display_scale
+    try:
+        return _real(args.freq_scale, "--freq-scale", "> 0")
+    except InvalidSystem as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @contextmanager

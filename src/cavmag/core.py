@@ -71,6 +71,23 @@ def _real(value, what: str, bound: str = "") -> float:
     return number
 
 
+def _float_array(values) -> np.ndarray:
+    """values as a float array, with an int too large for a float as inf
+    of its sign: every finite check then rejects it, as _real does."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        objects = np.asarray(values, dtype=object)
+        return np.array([_float_or_inf(v) for v in objects.flat], dtype=float).reshape(objects.shape)
+
+
+def _float_or_inf(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _real_fields(record, names, prefix: str, bound: str = "") -> None:
     """Store each named field of a frozen record as _real of its value;
     the error names it as prefix + name."""
@@ -258,7 +275,7 @@ def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
 def _fields(h, bound: str) -> np.ndarray:
     """h as a float array: NegativeField naming the first field that is
     not finite and bound (">= 0" or "> 0")."""
-    h_arr = np.asarray(h, dtype=float)
+    h_arr = _float_array(h)
     bad = ~(np.isfinite(h_arr) & ((h_arr > 0.0) if bound == "> 0" else (h_arr >= 0.0)))
     if np.any(bad):
         first = h if h_arr.ndim == 0 else h_arr[bad][0]
@@ -284,7 +301,7 @@ def field_for_frequency(material: KittelMaterial, omega, label: str | None = Non
     raises InvalidSystem naming the frequency, and the magnon when its
     label is given.
     """
-    w_arr = np.asarray(omega, dtype=float)
+    w_arr = _float_array(omega)
     if np.any(w_arr < 0.0) or not np.all(np.isfinite(w_arr)):
         raise NegativeFrequency(f"target frequency must be finite and >= 0, got {omega!r}")
     m4 = material.four_pi_m

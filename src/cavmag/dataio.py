@@ -4,10 +4,12 @@ All floats are written as '%.17g' text, so a write - read - write cycle
 is byte-identical and values survive exactly.  Files store model units
 only.  The spectrum writer spells the exact '%.17g' text of each s21
 value with array arithmetic as the four 64-bit words of a 32-byte slot
-(_write_17g).  The spectrum reader inverts that kernel: plain files are
-parsed with array arithmetic whose every value is proven equal to
-float() of its token (_read_plain), all other files line by line
-(_read_spectrum_lines), with the same values and errors.
+(_write_17g).  The spectrum reader parses plain files with array
+arithmetic (_read_plain): each s21 value it keeps is proven equal to
+float() of its token by a residual certificate (_certified), which holds
+for any token of up to 18 digits, not only for the writer's; all other
+files are parsed line by line (_read_spectrum_lines), with the same
+values and errors.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ THICKNESS_HEADER = "t_um,g1,g2,gap_p1,gap_p2"
 # integers, so D = hi + rint(lo) is rounded half to even like CPython's.
 
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10^0 .. 10^22, exact
-_INT10 = 10 ** np.arange(18, dtype=np.int64)
 _VELTKAMP = 2.0**27 + 1.0
 
 
@@ -210,46 +211,52 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
 # token [sign] digits [. digits] [e sign digit digit] with at most 7
 # integer and 24 fraction digits is read with 8-byte SWAR arithmetic
 # (Lemire, arXiv:2101.11408) into its integer significand M < 10^18, so
-# that its value is M·10^q.  A double-double quotient by the exact
-# 10^-q gives a candidate double c, kept only where _decimal_17(|c|)
-# spells the token's own digits: '%.17g' of a double reads back as that
-# double, so c is then float(token).  Every other token goes through
-# float().
+# that its value is M·10^q.  Where -22 <= q <= 0, a double-double
+# quotient by the exact 10^-q gives a candidate double c, kept only where
+# Clinger's residual test certifies it (_certified): M - c·10^-q, exact
+# to within M·2^-100, is smaller than half the gap below c, so no other
+# double is as near and c is float(token), 18-digit tokens included.
+# Every other token goes through float().
 
 _HEADER_LINE = (SPECTRUM_HEADER + "\n").encode("ascii")
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _READ_CHUNK = 1 << 18  # bytes per read
 _PAD = 32  # NUL bytes around each read, so that every window stays inside the buffer
-_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype=np.uint8)
+_ROW_SEPARATORS = np.frombuffer(b",,,\n", dtype="<u4")[0]
 
-# Word masks keeping the last k characters (the top k bytes), k = 0..8,
-# and the '0' characters that fill the others.
-_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - k)) if k else 0 for k in range(9)], dtype=np.uint64)
-_FILL = _ZEROS & ~_KEEP
-_TEXT_OFFSETS = np.array([16, 8, 0])  # characters after each word of a 24-byte text window
-_LIMIT17 = 10 ** (17 - np.arange(18, dtype=np.int64))  # m·10^k < 10^17 iff m < _LIMIT17[k]
+# Word masks are built by shifts: _ALL << 8·k keeps the top 8 - k bytes,
+# and numpy's shifts give 0 for a count of 64 or more.
+_ALL = ~_U64(0)
+_HIGH = _ONES * _U64(0x80)
+_NINES = _ONES * _U64(0x76)  # a byte b <= 9 stays below 0x80 when this is added
+_HALF_GAP = 0.5 - 2.0**-40  # the certificate's share of the gap below c, with room for rounding
+# With k fraction digits, whole·10^k + frac < 10^18 iff whole < _WHOLE_LIMIT[k]:
+# whole must be 0 from k = 18, where _INT10 holds 0, and k = 25 is refused.
+_WHOLE_LIMIT = np.array([10 ** max(18 - k, 0) if k < 25 else 0 for k in range(26)], dtype=np.uint64)
+_INT10 = np.append(10 ** np.arange(18, dtype=np.int64), np.zeros(8, dtype=np.int64))
 
 
-def _windows(buf, size, end) -> np.ndarray:
-    """The size bytes before each offset of end, as rows of size // 8 words."""
+def _windows(buf, size, at) -> np.ndarray:
+    """The size bytes from each offset of at, as rows of size // 8 words."""
     view = np.ndarray((len(buf) - size + 1,), dtype=f"V{size}", buffer=buf, strides=(1,))
-    return view[end - size].view("<u8").reshape(-1, size // 8)
+    return view[at].view("<u8").reshape(-1, size // 8)
 
 
-def _non_digits(word):
-    """0 where all 8 characters are digits; else the high bit of the
-    first non-digit byte is set (and maybe some above it).
+def _non_digits(values):
+    """0 where each byte of values, 8 characters XOR "00000000", is a
+    digit 0-9; else the high bit of the first other byte is set (and
+    maybe some above it).
     """
-    return ((word + _ONES * _U64(0x46)) | (word - _ZEROS)) & (_ONES * _U64(0x80))
+    return ((values + _NINES) | values) & _HIGH
 
 
-def _eight_digits(word):
-    """The value of 8 digit characters, the first one most significant."""
-    word = word - _ZEROS
-    word = word * _U64(10) + (word >> _U64(8))  # 2-digit groups
-    pairs = _U64(0x000000FF000000FF)
-    return ((word & pairs) * _U64(100 + (1000000 << 32))
-            + ((word >> _U64(16)) & pairs) * _U64(1 + (10000 << 32))) >> _U64(32)
+def _eight_digits(values):
+    """The value of 8 digits 0-9, one per byte, the lowest byte most
+    significant: 2-, 4- and 8-digit groups in turn.
+    """
+    values = ((values * _U64(10 * 2**8 + 1)) >> _U64(8)) & _U64(0x00FF00FF00FF00FF)
+    values = ((values * _U64(100 * 2**16 + 1)) >> _U64(16)) & _U64(0x0000FFFF0000FFFF)
+    return (values * _U64(10000 * 2**32 + 1)) >> _U64(32)
 
 
 def _floats(buf, start, end) -> np.ndarray:
@@ -258,22 +265,26 @@ def _floats(buf, start, end) -> np.ndarray:
 
 
 def _text_keys(buf, start, end):
-    """Each token's last 24 bytes, NUL before its start, as (n, 3) words,
-    and whether it is longer; a longer token's key matches no other.
+    """Each token's last 24 bytes, NUL before its start, as three arrays
+    of words, and whether it is longer; a longer token's key matches no
+    other.
     """
-    length = end - start
-    keys = np.zeros((length.size, 3), dtype=np.uint64)
-    words = min(3, -(-int(length.max(initial=0)) // 8))  # from the end; the others stay 0
-    if words:
-        keep = np.minimum(np.maximum(length[:, None] - _TEXT_OFFSETS[3 - words:], 0), 8)
-        keys[:, 3 - words:] = _windows(buf, 8 * words, end) & _KEEP[keep]
-    long = length > 24
-    keys[long] = ~_U64(0)  # no byte of a plain token is 0xff
+    bits = (end - start) << 3
+    words = min(3, -(-int(bits.max(initial=0)) // 64))  # from the end; the others are 0
+    keys = [np.zeros(bits.size, dtype=np.uint64) for _ in range(3 - words)]
+    text = _windows(buf, 8 * words, end - 8 * words) if words else None
+    for k in range(words):  # 64·(words - k) bits from its start to the end
+        before = np.maximum(64 * (words - k) - bits, 0).view(np.uint64)
+        keys.append(text[:, k] & (_ALL << before))
+    long = bits > 8 * 24
+    if long.any():
+        for key in keys:
+            key[long] = _ALL  # no byte of a plain token is 0xff
     return keys, long
 
 
 def _same(a, b) -> np.ndarray:
-    return (a[:, 0] == b[:, 0]) & (a[:, 1] == b[:, 1]) & (a[:, 2] == b[:, 2])
+    return (a[0] == b[0]) & (a[1] == b[1]) & (a[2] == b[2])
 
 
 def _integer_digits(buf, start):
@@ -281,15 +292,16 @@ def _integer_digits(buf, start):
     the n_int (at most 7) digits after it, of value whole, which end at
     offset point, a '.' if has_point.
     """
-    head = _windows(buf, 8, start + 8)[:, 0]  # the first 8 characters
-    neg = (head & _U64(0xFF)) == ord("-")
-    signed = (head & _U64(0xF9)) == 0x29  # '+' or '-', the only plain bytes so masked
-    head = np.where(signed, head >> _U64(8), head)
-    bad = _non_digits(head) | _U64(0x80 << 56)
+    head = _windows(buf, 8, start)[:, 0]  # the first 8 characters
+    first = head & _U64(0xFF)
+    neg = first == ord("-")
+    signed = neg | (first == ord("+"))
+    values = (head >> (signed * _U64(8))) ^ _ZEROS  # digit characters become 0-9
+    bad = _non_digits(values) | _U64(0x80 << 56)
     bad &= _U64(0) - bad  # its lowest set bit: the first non-digit
-    bits = (((bad >> _U64(7)) * _U64(0x0001020304050607)) >> _U64(56)) << _U64(3)
-    has_point = ((head >> bits) & _U64(0xFF)) == ord(".")
-    whole = _eight_digits((head << (_U64(64) - bits)) | (_ZEROS >> bits))
+    bits = ((bad >> _U64(7)) * _U64(0x0008101820283038)) >> _U64(56)  # 8 per digit
+    has_point = ((values >> bits) & _U64(0xFF)) == (ord(".") ^ ord("0"))
+    whole = _eight_digits(values << (_U64(64) - bits))
     n_int = (bits >> _U64(3)).view(np.int64)
     return neg, start + signed + n_int, n_int, has_point, whole
 
@@ -299,83 +311,97 @@ def _exponents(last):
     'E', a sign and two digits, or no exponent and power 0.
     """
     has_e = ((last >> _U64(32)) & _U64(0xF0F0F9DF)) == 0x30302945
-    power = ((((last >> _U64(48)) & _U64(0x0F0F)) * _U64(2561)) >> _U64(8)) & _U64(0xFF)
-    sign = 0x2C - ((last >> _U64(40)) & _U64(0xFF)).view(np.int64)  # '+' 1, '-' -1
-    return has_e, power.view(np.int64) * sign * has_e
+    power = ((last & _U64(0x0F0F << 48)) * _U64(10 * 2**8 + 1)) >> _U64(56)  # 10·tens + units
+    sign = ((last >> _U64(40)) & _U64(2)) - _U64(1)  # bit 1: '+' 1, '-' 0
+    return has_e, (power * sign).view(np.int64) * has_e
 
 
-def _fraction_digits(tail, has_e, n_frac):
-    """(value, ok): the n_frac digits that end each token's 32-byte tail
-    window, 4 bytes earlier where has_e; ok where they are digits and
-    value < 10^18.
+def _fraction_digits(tail, n_frac):
+    """(value, ok): the last n_frac of the 24 characters in the (n, 3)
+    words of tail; ok where they are digits and value < 10^18.
     """
-    shift = has_e.astype(np.uint8) << 5  # bits a word moves
-    back = np.uint8(64) - shift
-    value, ok = _U64(0), True
-    for j in reversed(range(min(3, -(-int(n_frac.max(initial=0)) // 8)))):
-        word = (tail[:, 3 - j] << shift) | (tail[:, 2 - j] >> back)
-        kept = np.minimum(np.maximum(n_frac - 8 * j, 0), 8)
-        word = (word & _KEEP[kept]) | _FILL[kept]
-        ok = ok & (_non_digits(word) == 0)
+    bits = n_frac << 3
+    value, over = _U64(0), _U64(0)
+    for k in range(3 - min(3, -(-int(bits.max(initial=0)) // 64)), 3):  # words with digits
+        # word k: its digits are the top bytes among the last 64·(3 - k) bits
+        word = (tail[:, k] ^ _ZEROS) & (_ALL << np.maximum(64 * (3 - k) - bits, 0).view(np.uint64))
+        over = over | (word + _NINES) | word  # _non_digits, over every word
         digits = _eight_digits(word)
-        if j == 2:
-            ok &= digits < 100
+        if k == 0:
+            over = over | (digits >= _U64(100)) << _U64(7)  # value < 10^18
         value = value * _U64(10**8) + digits
-    return value, ok
+    return value, (over & _HIGH) == 0
 
 
 def _significands(buf, start, end):
     """(neg, m, exponent, ok): each s21 token is (-1)^neg · m · 10^exponent
-    where ok, with m < 10^18 and |exponent| <= 22; elsewhere m is 0.
+    where ok, with m < 10^18; exponent lies in -22..0 for every token.
     """
-    neg, point, n_int, has_point, whole = _integer_digits(buf, start)
-    tail = _windows(buf, 32, end)
-    has_e, power = _exponents(tail[:, 3])
+    has_e, power = _exponents(_windows(buf, 8, end - 8)[:, 0])
     stop = end - 4 * has_e  # the end of the digits and point
-    n_frac = stop - point - has_point
-    ok = (has_point | (point == stop)) & (n_int + n_frac >= 1) & (n_frac <= 24)
-    frac, frac_ok = _fraction_digits(tail, has_e, n_frac)
-    ok &= frac_ok & ((whole == 0) | (n_int + n_frac <= 18))  # m < 10^18
+    neg, point, n_int, has_point, whole = _integer_digits(buf, start)
+    n_frac = stop - point - has_point  # >= 0: the integer digits end by stop
+    frac, ok = _fraction_digits(_windows(buf, 24, stop - 24), n_frac)
+    ok &= (has_point | (point == stop)) & (n_int + n_frac > 0)
+    at = np.minimum(n_frac, 25)
+    ok &= whole < _WHOLE_LIMIT[at]  # m < 10^18, and at most 24 fraction digits
     exponent = power - n_frac
-    ok &= np.abs(exponent) <= 22
-    m = whole.view(np.int64) * _INT10[np.minimum(np.maximum(n_frac, 0), 17)] + frac.view(np.int64)
-    return neg, np.where(ok, m, 0), exponent, ok
+    clipped = np.minimum(np.maximum(exponent, -22), 0)
+    ok &= clipped == exponent
+    m = whole.view(np.int64) * _INT10[at] + frac.view(np.int64)
+    return neg, np.where(ok, m, 0), clipped, ok
 
 
 def _quotients(m, exponent) -> np.ndarray:
-    """m·10^exponent to within an ulp: a double-double quotient (or
-    product) with the exact power of ten; m < 10^18, |exponent| <= 22.
+    """m·10^exponent to within an ulp: a double-double quotient by the
+    exact power of ten; m < 10^18, -22 <= exponent <= 0.
     """
-    scale = np.minimum(np.abs(exponent), 22)
+    scale = -exponent
     hi = m.astype(np.float64)
     lo = (m - hi.astype(np.int64)).astype(np.float64)  # m = hi + lo exactly
     power10 = _POW10[scale]
     value = hi / power10
     p_hi, p_lo = _scaled(value, scale)
-    value += (((hi - p_hi) - p_lo) + lo) / power10
-    up = np.flatnonzero(exponent > 0)
-    if up.size:
-        p_hi, p_lo = _scaled(hi[up], scale[up])
-        value[up] = p_hi + (p_lo + lo[up] * power10[up])
-    return value
+    return value + (((hi - p_hi) - p_lo) + lo) / power10
+
+
+def _certified(m, exponent, c) -> np.ndarray:
+    """Where c is float(m·10^exponent), proven: Clinger's residual test.
+
+    Needs m < 10^18, -22 <= exponent <= 0 and c >= 0.  The residual
+    m - c·10^-exponent is exact to within m·2^-100 (Dekker's product is
+    exact and the sum is nearly so); c is kept where it is at most half
+    the gap between c and the double before it, times 10^-exponent, less
+    a 2^-40 share.  That gap is never wider than the one above c, so the
+    value lies strictly nearer to c than to any other double, ties
+    excluded, and float() rounds it to c.  c = 0 has a gap of 0: it is
+    kept for m = 0 alone.
+    """
+    scale = -exponent
+    hi = m.astype(np.float64)
+    lo = (m - hi.astype(np.int64)).astype(np.float64)  # m = hi + lo exactly
+    p_hi, p_lo = _scaled(c, scale)
+    residual = ((hi - p_hi) - p_lo) + lo
+    gap = c - (np.maximum(c.view(np.int64), 1) - 1).view(np.float64)  # c less the double before it
+    return np.abs(residual) <= gap * _POW10[scale] * _HALF_GAP
 
 
 def _decimals(buf, start, end) -> np.ndarray:
-    """float() of each s21 token, exact: SWAR where proven, float() elsewhere."""
+    """float() of each s21 token, exact: SWAR where certified, float() elsewhere."""
     neg, m, exponent, ok = _significands(buf, start, end)
     value = _quotients(m, exponent)
-    # Keep c where '%.17g' % c is the token's digits: D = m·10^k.
-    size = np.abs(value)
-    inner = (size > 1e-6) & (size < 1e16)
-    e, digits = _decimal_17(np.where(inner, size, 1.0))
-    k = exponent + 16 - e
-    at = np.minimum(np.maximum(k, 0), 17)
-    ok &= (m == 0) | (inner & (k >= 0) & (np.where(m < _LIMIT17[at], m, 0) * _INT10[at] == digits))
+    ok &= _certified(m, exponent, value)
     value = np.where(neg, -value, value)
     slow = np.flatnonzero(~ok)
     if slow.size:
         value[slow] = _floats(buf, start[slow], end[slow])
     return value
+
+
+def _row_pairs(seps, k):
+    """seps[4r + k] and seps[4r + k + 1] of each row r, interleaved: one
+    16-byte item a row, so the copy runs at the speed of a 1-D array."""
+    return np.ascontiguousarray(seps[k:k + seps.size - 2].view(np.complex128)[::2]).view(np.int64)
 
 
 class _PlainRows:
@@ -396,8 +422,12 @@ class _PlainRows:
     def feed(self, buf: bytes, cut: int) -> bool:
         """Take the lines of buf[_PAD:cut]; False if the line parser must decide."""
         b = np.frombuffer(buf, dtype=np.uint8, count=cut)
-        seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-        if seps.size % 4 or not (b[seps].reshape(-1, 4) == _ROW_SEPARATORS).all():
+        seps = _PAD + np.flatnonzero(b[_PAD:] < ord("-"))  # ',', '\n' and '+' of the plain bytes
+        found = b[seps]
+        if (found == ord("+")).any():
+            seps = seps[found != ord("+")]
+            found = b[seps]
+        if seps.size % 4 or not (found.view("<u4") == _ROW_SEPARATORS).all():
             return False
         end = seps.reshape(-1, 4)  # the comma or line break after each token
         n = end.shape[0]
@@ -408,15 +438,15 @@ class _PlainRows:
         # h_oe: a token whose text is the previous row's has its value.
         keys, long = _text_keys(buf, line, end[:, 0])
         new = np.empty(n, dtype=bool)
-        new[1:] = ~_same(keys[1:], keys[:-1])
-        new[0] = self.h_key is None or not _same(keys[:1], self.h_key[None])[0]
+        new[1:] = ~_same([key[1:] for key in keys], [key[:-1] for key in keys])
+        new[0] = self.h_key is None or not _same([key[0] for key in keys], self.h_key)
         new |= long
         at = np.flatnonzero(new)
         h = _floats(buf, line[at], end[at, 0])
         if not new[0]:  # the last read's h_oe goes on
             at, h = np.append(0, at), np.append(self.last[0], h)
         h = np.repeat(h, np.diff(np.append(at, n)))
-        self.h_key = keys[-1].copy()  # not a view that keeps this read's keys
+        self.h_key = [key[-1] for key in keys]  # scalars, not views that keep this read's keys
 
         # omega: the first field block is converted; a later token whose
         # text is the one at its place in that block has its value.
@@ -430,19 +460,21 @@ class _PlainRows:
             in_first = h == self.fields[0][0]
             first = n if in_first.all() else int(np.argmin(in_first))
             omega[:first] = _floats(buf, start[:first], end[:first, 1])
-            self.freq_keys.append(keys[:first])
+            self.freq_keys.append([key[:first] for key in keys])
             self.freqs.append(omega[:first])
             if first < n:
-                self.freq_keys = np.concatenate(self.freq_keys)
+                self.freq_keys = [np.concatenate(word) for word in zip(*self.freq_keys)]
                 self.freqs = np.concatenate(self.freqs)
                 self.n_freqs = self.freqs.size
         if first < n:
             place = (self.rows + np.arange(first, n)) % self.n_freqs
             omega[first:] = self.freqs[place]
-            other = first + np.flatnonzero(~_same(keys[first:], self.freq_keys[place]) | long[first:])
+            other = first + np.flatnonzero(~_same([key[first:] for key in keys],
+                                                  [key[place] for key in self.freq_keys])
+                                           | long[first:])
             omega[other] = _floats(buf, start[other], end[other, 1])
 
-        parts = _decimals(buf, (end[:, 1:3] + 1).reshape(-1), end[:, 2:].reshape(-1))
+        parts = _decimals(buf, _row_pairs(seps, 1) + 1, _row_pairs(seps, 2))  # re, im of each row
         if not (np.isfinite(h).all() and np.isfinite(omega).all() and np.isfinite(parts).all()):
             return False
         if self.rows:  # with the last read's last row

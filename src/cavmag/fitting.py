@@ -44,7 +44,8 @@ import numpy as np
 
 from .core import _check_dampings, _real, _real_fields
 from .errors import DegenerateData, DegenerateProblem, InvalidSystem
-from .sweep import SpectrumMap, SystemTemplate, _each_block, _parabola_coefficients, _stack
+from .sweep import (SpectrumMap, SystemTemplate, _block_work, _each_block, _parabola_coefficients,
+                    _stack)
 
 FTOL_REL = 1e-10
 XTOL = 1e-12
@@ -467,7 +468,9 @@ def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
     full-grid residual or Jacobian is held.  A grid of up to
     sweep._BLOCK_POINTS points (32 x 401; the criterion-3 62 x 101 grid
     among them) is one kernel call per evaluation; on a larger grid the
-    sums group by block, which moves the result only by roundoff.
+    sums group by block, which moves the result only by roundoff.  Every
+    evaluation runs in the one work array (sweep._block_work) allocated
+    here.
     """
     n_data = 2 * data.values.size
     if data.values.size < len(problem.free):
@@ -475,6 +478,7 @@ def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
             f"{data.values.size} map points cannot constrain {len(problem.free)} parameters"
         )
     slots = problem.slots
+    work = _block_work(len(problem.template.arrays["omega"]), data.fields, data.freqs)
 
     def evaluate(values: np.ndarray):
         arrays = problem.arrays_at(values)
@@ -490,7 +494,7 @@ def fit_map(data: SpectrumMap, problem: FitProblem) -> FitResult:
                 grad += jac @ misfit
                 normal += jac @ jac.T
 
-        _each_block(*_stack(arrays, data.fields), data.fields, data.freqs, accumulate)
+        _each_block(*_stack(arrays, data.fields), data.fields, data.freqs, accumulate, work)
         return f, grad, normal
 
     return _optimize(evaluate, problem, n_data)

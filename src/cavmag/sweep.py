@@ -26,6 +26,7 @@ from .core import (
     ModeSpec,
     _coupling_matrix,
     _coupling_slots,
+    _float_array,
     _kernel_work,
     _kittel,
     _model_table,
@@ -127,7 +128,7 @@ class SystemTemplate:
 
 def _check_axis(name: str, values) -> np.ndarray:
     """A grid axis as a float array: nonempty, 1-D, finite, strictly ascending."""
-    arr = np.asarray(values, dtype=float)
+    arr = _float_array(values)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidSystem(f"{name} must be a nonempty 1-D array")
     bad = np.flatnonzero(~np.isfinite(arr))
@@ -251,22 +252,34 @@ def _stack(arrays: dict, fields) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_POINTS = 32 * 401
 
 
-def _each_block(hams, weights, fields: np.ndarray, freqs: np.ndarray, visit) -> None:
+def _block_fields(freqs: np.ndarray) -> int:
+    """Fields per block of _each_block: a grid of up to _BLOCK_POINTS
+    points is one kernel call, and a wider frequency axis gets fewer."""
+    return max(1, _BLOCK_POINTS // freqs.size)
+
+
+def _block_work(n: int, fields: np.ndarray, freqs: np.ndarray):
+    """The work arrays (core._kernel_work) of _each_block over these axes
+    for n modes, sized for its largest block.  A map allocates them once,
+    and a fit once for all its evaluations, so a fit does not hand the
+    allocator a new block-sized array on every evaluation."""
+    return _kernel_work(n, min(fields.size, _block_fields(freqs)), freqs.size)
+
+
+def _each_block(hams, weights, fields: np.ndarray, freqs: np.ndarray, visit, work) -> None:
     """Run the transmission kernel on a model's _stack over checked axes,
     block by block, calling visit(block, values, x) on each block.
 
-    A block is max(1, _BLOCK_POINTS // len(freqs)) fields: a grid of up
-    to _BLOCK_POINTS points is one kernel call, and a wider frequency axis
-    gets fewer fields per block.  block is the slice of fields covered,
-    values the block's (fields, freqs) transmission and x the kernel's
-    per-mode solution arrays.  Raises SingularResponse at the first
-    offending point in row-major order, before visiting that point's block.
+    A block is _block_fields(freqs) fields, and every block runs in work,
+    the caller's _block_work(n, fields, freqs).  block is the slice of
+    fields covered, values the block's (fields, freqs) transmission and x
+    the kernel's per-mode solution arrays.  Raises SingularResponse at the
+    first offending point in row-major order, before visiting that point's
+    block.
     """
-    step = max(1, _BLOCK_POINTS // freqs.size)
-    # One work array for every block, and a block's results are freed
-    # before the next block runs, so the memory in use peaks at one
-    # block's whatever the number of fields.
-    work = _kernel_work(hams.shape[-1], min(fields.size, step), freqs.size)
+    step = _block_fields(freqs)
+    # A block's results are freed before the next block runs, so the
+    # memory in use peaks at one block's whatever the number of fields.
     for start in range(0, fields.size, step):
         block = slice(start, start + step)
         values, cond, x = _transmission(hams[block], weights, freqs, work)
@@ -298,7 +311,8 @@ def compute_map(template: SystemTemplate, fields, freqs) -> SpectrumMap:
     def store(block, block_values, _x):
         spectrum.values[block] = block_values
 
-    _each_block(*_stack(template.arrays, spectrum.fields), spectrum.fields, spectrum.freqs, store)
+    work = _block_work(len(template.arrays["omega"]), spectrum.fields, spectrum.freqs)
+    _each_block(*_stack(template.arrays, spectrum.fields), spectrum.fields, spectrum.freqs, store, work)
     return spectrum
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavmag import cli
+from cavmag import cli, fitting
 from cavmag.cli import main
 from cavmag.config import GridSpec, load_config
 from cavmag.dataio import format_float, read_spectrum_csv
@@ -65,6 +65,24 @@ def test_kittel_freq_scale_rescales_stdout_only(tmp_path, small_config, capsys):
     shown = float(capsys.readouterr().out.splitlines()[1].split()[2])
     stored = float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[2])
     assert shown == 0.5 * stored  # files always keep model units
+
+
+@pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0", "-0.5"])
+def test_kittel_freq_scale_must_be_a_finite_real_above_0(small_config, capsys, scale):
+    # the rule of the config's display_scale; inf printed inf for every frequency
+    rc = main(["kittel", "--config", str(small_config), "--fields", "1000", f"--freq-scale={scale}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"config error: --freq-scale must be a finite real > 0, got {float(scale)!r}\n"
+
+
+@pytest.mark.parametrize("fields", [",", "1000,", ",1000", "1000,,1100", ""])
+def test_kittel_fields_rejects_empty_lists_and_parts(small_config, capsys, fields):
+    # an empty part was dropped without a word, and "," printed only the header
+    rc = main(["kittel", "--config", str(small_config), f"--fields={fields}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"config error: --fields expects comma-separated numbers, got {fields!r}\n"
 
 
 def test_kittel_unknown_material(small_config, capsys):
@@ -200,6 +218,23 @@ def test_fit_recovers_coupling_via_cli(tmp_path, capsys):
     line = next(ln for ln in report.splitlines() if ln.startswith("parameter: g:cpw:yig"))
     value = float(line.split()[3])
     assert abs(value - 0.25) / 0.25 < 1e-4
+
+
+def test_fit_that_stops_unconverged_exits_4(tmp_path, monkeypatch, capsys):
+    # README: exit 4 when the fit did not converge; one LM step from 0.15 cannot reach 0.25
+    fit_block = {
+        "method": "map",
+        "free": [{"name": "g:cpw:yig", "lower": 0.05, "upper": 0.6, "initial": 0.15}],
+    }
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(small_doc(fit=fit_block)), encoding="utf-8")
+    data = tmp_path / "data.csv"
+    assert main(["map", "--config", str(config), "--out", str(data)]) == 0
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    report = capsys.readouterr().out.splitlines()
+    assert rc == 4
+    assert "converged: false" in report and "iterations: 1" in report
 
 
 def test_fit_rejects_a_box_naming_both_coupling_aliases(tmp_path, capsys):
@@ -360,6 +395,13 @@ def test_fit_without_fit_block_exits_2(tmp_path, small_config, capsys):
 
 
 # ── thickness ──────────────────────────────────────────────────────────
+
+
+def test_thickness_without_thickness_block_exits_2(tmp_path, small_config, capsys):
+    out = tmp_path / "thickness.csv"
+    rc = main(["thickness", "--config", str(small_config), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == "config error: config has no 'thickness' block\n"
 
 
 def test_thickness_single_row_and_maps_dir(tmp_path, capsys):

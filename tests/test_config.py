@@ -232,6 +232,9 @@ def test_rejects_bad_fit_block():
     doc = minimal_doc()
     doc["fit"] = {"method": "map", "free": [], "min_separation": 0.0}
     expect_rejection(doc, "min_separation")
+    doc = minimal_doc()
+    doc["fit"] = {"method": "branches", "free": [], "n_ridges": 0}
+    expect_rejection(doc, "fit: 'n_ridges' must be an integer >= 1, got 0")
 
 
 def test_fit_and_thickness_labels_resolve_against_the_template_on_load():

@@ -98,6 +98,9 @@ def test_system_rejects_bad_couplings():
     ([(1e308, 1e308)], "'a': damping overflows the coupling matrix (alpha=1e+308, beta=1e+308)"),
     ([(0.0, 0.02), (0.0, 1e160), (0.0, 1e160)],
      "'b': damping overflows the coupling matrix (alpha=0, beta=1e+160)"),
+    # 'a' overflows only against the larger beta: each beta times the largest
+    ([(0.0, 1e150), (0.0, 1e160)],
+     "'a': damping overflows the coupling matrix (alpha=0, beta=9.9999999999999998e+149)"),
 ])
 def test_system_rejects_dampings_that_overflow_the_coupling_matrix(dampings, shown):
     # alpha + beta or a stripline product beta_j beta_k would be inf: s21

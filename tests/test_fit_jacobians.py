@@ -30,6 +30,7 @@ from cavmag.sweep import (
     SpectrumMap,
     SystemTemplate,
     TemplateMagnon,
+    _block_work,
     _each_block,
     _stack,
     compute_branches,
@@ -111,7 +112,8 @@ def exact_map_column(template, name):
     arrays = template.arrays
     columns = []
     _each_block(*_stack(arrays, FIELDS), FIELDS, FREQS, lambda block, model, y: columns.append(
-        _map_columns(slots, arrays, model, y, FIELDS[block, None])[0]))
+        _map_columns(slots, arrays, model, y, FIELDS[block, None])[0]),
+        _block_work(len(arrays["omega"]), FIELDS, FREQS))
     return np.concatenate(columns)
 
 

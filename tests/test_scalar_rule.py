@@ -8,10 +8,27 @@ import numpy as np
 import pytest
 
 from cavmag.config import dump_config, parse_config
-from cavmag.core import YIG, HybridSystem, KittelMaterial, ModeSpec, lambda_to_beta, s21
-from cavmag.errors import InvalidSystem
+from cavmag.core import (
+    YIG,
+    HybridSystem,
+    KittelMaterial,
+    ModeSpec,
+    field_for_frequency,
+    kittel_frequency,
+    kittel_slope,
+    lambda_to_beta,
+    s21,
+)
+from cavmag.errors import InvalidSystem, NegativeField, NegativeFrequency
 from cavmag.fitting import FreeParameter, extract_ridges
-from cavmag.sweep import SpectrumMap, SystemTemplate, TemplateMagnon, ThicknessModel
+from cavmag.sweep import (
+    SpectrumMap,
+    SystemTemplate,
+    TemplateMagnon,
+    ThicknessModel,
+    compute_branches,
+    compute_map,
+)
 from cavmag.synth import NoiseSpec
 
 CPW = ModeSpec("cpw", 29.2, 0.01, 0.02)
@@ -50,6 +67,39 @@ ENTRY_POINTS = {
 def test_every_scalar_rejects_what_is_not_a_finite_real(entry, value):
     with pytest.raises(InvalidSystem, match=r"must be a finite real.*, got "):
         ENTRY_POINTS[entry](value)
+
+
+TEMPLATE = SystemTemplate(CPW, (TemplateMagnon("yig", 0.005, 0.004, YIG),), {("cpw", "yig"): 0.25})
+HUGE = 10**400  # an int past the float range
+
+# array entry points: each converts its fields or frequencies once
+ARRAY_ENTRY_POINTS = {
+    "kittel_frequency": (lambda v: kittel_frequency(YIG, v), NegativeField,
+                         "applied field must be finite and >= 0, got "),
+    "kittel_slope": (lambda v: kittel_slope(YIG, v), NegativeField,
+                     "applied field must be finite and > 0, got "),
+    "field_for_frequency": (lambda v: field_for_frequency(YIG, v), NegativeFrequency,
+                            "target frequency must be finite and >= 0, got "),
+    "compute_map.fields": (lambda v: compute_map(TEMPLATE, v, [29.0]), InvalidSystem,
+                           "fields must be finite, got "),
+    "compute_map.freqs": (lambda v: compute_map(TEMPLATE, [1000.0], v), InvalidSystem,
+                          "freqs must be finite, got "),
+    "compute_branches": (lambda v: compute_branches(TEMPLATE, v), InvalidSystem,
+                         "fields must be finite, got "),
+}
+
+
+@pytest.mark.parametrize("value", [HUGE, -HUGE, [1000.0, HUGE], [[HUGE]]],
+                         ids=["int", "negative_int", "in_list", "nested"])
+@pytest.mark.parametrize("entry", sorted(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_reject_an_int_past_the_float_range(entry, value):
+    # was a bare OverflowError from the float conversion; now the entry's own text
+    call, error, text = ARRAY_ENTRY_POINTS[entry]
+    if entry.startswith("compute"):  # a grid axis is 1-D
+        value = np.ravel(np.array(value, dtype=object)).tolist()
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value).startswith(text)
 
 
 def test_records_store_int_fields_as_floats():

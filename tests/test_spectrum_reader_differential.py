@@ -9,8 +9,10 @@ Hypothesis runs derandomized, so failures reproduce.
 """
 
 import importlib
+import math
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -284,8 +286,8 @@ def test_benchmark_inputs_take_the_array_route(tmp_path):
 
 
 def test_a_candidate_one_ulp_off_is_never_kept(tmp_path, monkeypatch):
-    # the '%.17g' check, not the accuracy of the quotient, makes values
-    # exact; a zero significand is an exact zero either way
+    # the residual certificate, not the accuracy of the quotient, makes
+    # values exact; a zero significand is an exact zero either way
     def quotients(m, exponent):
         value = exact(m, exponent)
         return np.where(m == 0, value, np.nextafter(value, np.inf))
@@ -299,3 +301,53 @@ def test_a_candidate_one_ulp_off_is_never_kept(tmp_path, monkeypatch):
         path.write_text(body, encoding="ascii")
         assert _read_plain(path) is not None
         assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+
+
+def midpoint_tokens(rng, count) -> list[str]:
+    """s21 tokens of 17 and 18 digits on either side of the midpoint
+    between a random double in [1e-5, 1) and the next double up, each in
+    fixed and in scientific notation, with a random sign: the tokens
+    whose correct rounding is hardest to certify."""
+    tokens = []
+    for v in (10.0 ** rng.uniform(-5.0, 0.0, count)).tolist():
+        mid = (Fraction(v) + Fraction(np.nextafter(v, 2.0).item())) / 2
+        e = math.floor(math.log10(mid))
+        e += (Fraction(10) ** (e + 1) <= mid) - (Fraction(10) ** e > mid)  # 10^e <= mid < 10^(e+1)
+        for digits in (17, 18):
+            places = digits - 1 - e  # decimal places of a digits-digit token
+            for d in (math.floor(mid * 10**places), math.ceil(mid * 10**places)):
+                text = str(d)
+                if len(text) != digits:  # rounded up to a power of ten
+                    continue
+                sign = "-" if rng.random() < 0.5 else ""
+                tokens.append(f"{sign}0.{text.rjust(places, '0')}")
+                tokens.append(f"{sign}{text[0]}.{text[1:]}e{e:+03d}")
+    return tokens
+
+
+@pytest.mark.parametrize("off", [None, math.inf, -math.inf], ids=["exact", "ulp_up", "ulp_down"])
+def test_tokens_nearest_a_midpoint_read_as_float_reads_them(tmp_path, monkeypatch, off):
+    # a candidate one ulp off lies just over half a gap from such a token:
+    # the residual certificate must send every one to float(), and keep
+    # every exact candidate, whose token lies just under half a gap away
+    exact = dataio._quotients
+    if off is not None:
+        monkeypatch.setattr(dataio, "_quotients", lambda m, exponent: np.where(
+            m == 0, exact(m, exponent), np.nextafter(exact(m, exponent), off)))
+    floats = dataio._floats
+    converted = []
+    monkeypatch.setattr(dataio, "_floats", lambda buf, start, end: converted.append(start.size)
+                        or floats(buf, start, end))
+    rng = np.random.default_rng(14)
+    tokens = midpoint_tokens(rng, 300)
+    assert len(tokens) == 2400
+    n_fields, n_freqs = 10, len(tokens) // 20  # two tokens a row
+    path = tmp_path / "map.csv"
+    header, *lines = written(path, random_map(rng, n_fields, n_freqs)).split("\n")[:-1]
+    pairs = iter(tokens)
+    lines = [",".join(line.split(",")[:2] + [next(pairs), next(pairs)]) for line in lines]
+    path.write_text("".join(line + "\n" for line in [header, *lines]), encoding="ascii")
+    assert _read_plain(path) is not None
+    # float() read each field's first h_oe and the first field's omega texts
+    assert sum(converted) - n_fields - n_freqs == (0 if off is None else len(tokens))
+    assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)

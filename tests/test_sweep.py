@@ -394,7 +394,8 @@ def test_block_memory_does_not_grow_with_the_field_count():
         hams, weights = _stack(template.arrays, fields)
         tracemalloc.start()
         try:
-            sweep._each_block(hams, weights, fields, freqs, lambda block, values, x: None)
+            work = sweep._block_work(hams.shape[-1], fields, freqs)
+            sweep._each_block(hams, weights, fields, freqs, lambda block, values, x: None, work)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
