@@ -75,6 +75,29 @@ def _grids_in_memory(config: RunConfig):
             f"({config.freq_grid.count} points) does not fit in memory") from None
 
 
+def _heatmap_path(args) -> Path | None:
+    """Where --heatmap writes: --out with the suffix .pgm, else None.
+
+    ConfigError if that is --out itself, before anything is computed.  An
+    --out with no name (such as "/") gets no heatmap: the spectrum CSV
+    cannot be written there, and its error is the one reported.
+    """
+    out = Path(args.out)
+    if args.heatmap and out.suffix == ".pgm":
+        raise ConfigError(f"--out {args.out!r} is the file --heatmap writes; "
+                          f"give --out a suffix other than .pgm")
+    return out.with_suffix(".pgm") if args.heatmap and out.name else None
+
+
+def _write_map(out, heatmap: Path | None, spectrum) -> None:
+    """The heatmap, then the spectrum CSV: truncating an existing heatmap
+    just after the CSV is closed would wait for the CSV's data to reach
+    the disk (ext4's auto_da_alloc)."""
+    if heatmap is not None:
+        write_pgm(heatmap, spectrum)
+    write_spectrum_csv(out, spectrum)
+
+
 # ── Subcommands ────────────────────────────────────────────────────────
 
 
@@ -107,13 +130,12 @@ def cmd_kittel(args) -> int:
 
 
 def cmd_map(args) -> int:
+    heatmap = _heatmap_path(args)
     config = load_config(args.config)
     with _grids_in_memory(config):
         spectrum = compute_map(config.template(),
                                config.field_grid.to_array(), config.freq_grid.to_array())
-    write_spectrum_csv(args.out, spectrum)
-    if args.heatmap:
-        write_pgm(Path(args.out).with_suffix(".pgm"), spectrum)
+    _write_map(args.out, heatmap, spectrum)
     print(f"map: {spectrum.fields.size} fields x {spectrum.freqs.size} freqs -> {args.out}")
     return 0
 
@@ -249,6 +271,7 @@ def cmd_thickness(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    heatmap = _heatmap_path(args)
     config = load_config(args.config)
     noise = config.noise if config.noise is not None else NoiseSpec(sigma=0.0, seed=0)
     if args.seed is not None:
@@ -256,9 +279,7 @@ def cmd_synth(args) -> int:
     with _grids_in_memory(config):
         spectrum = synth_map(config.template(), config.field_grid.to_array(),
                              config.freq_grid.to_array(), noise)
-    write_spectrum_csv(args.out, spectrum)
-    if args.heatmap:
-        write_pgm(Path(args.out).with_suffix(".pgm"), spectrum)
+    _write_map(args.out, heatmap, spectrum)
     print(f"synth: sigma={format_float(noise.sigma)} seed={noise.seed} -> {args.out}")
     return 0
 

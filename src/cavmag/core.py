@@ -272,20 +272,21 @@ def kittel_frequency(material: KittelMaterial, h, label: str | None = None):
     return _kittel(material.gamma, material.four_pi_m, h, label)
 
 
-def _fields(h, bound: str) -> np.ndarray:
-    """h as a float array: NegativeField naming the first field that is
-    not finite and bound (">= 0" or "> 0")."""
-    h_arr = _float_array(h)
-    bad = ~(np.isfinite(h_arr) & ((h_arr > 0.0) if bound == "> 0" else (h_arr >= 0.0)))
+def _checked(values, bound: str, error, what: str) -> np.ndarray:
+    """values as a float array: error naming the first value that is not
+    finite and bound (">= 0" or "> 0"), a scalar as given and an array
+    entry as a Python float."""
+    array = _float_array(values)
+    bad = ~(np.isfinite(array) & ((array > 0.0) if bound == "> 0" else (array >= 0.0)))
     if np.any(bad):
-        first = h if h_arr.ndim == 0 else h_arr[bad][0]
-        raise NegativeField(f"applied field must be finite and {bound}, got {first!r}")
-    return h_arr
+        first = values if array.ndim == 0 else float(array[bad][0])
+        raise error(f"{what} must be finite and {bound}, got {first!r}")
+    return array
 
 
 def _kittel(gamma, four_pi_m, h, label: str | None = None):
     """kittel_frequency from the material constants themselves."""
-    h_arr = _fields(h, ">= 0")
+    h_arr = _checked(h, ">= 0", NegativeField, "applied field")
     with np.errstate(over="ignore"):
         out = gamma * np.sqrt(h_arr * (h_arr + four_pi_m))
     _overflow_check(out, h_arr, "frequency overflows at h", label)
@@ -301,9 +302,7 @@ def field_for_frequency(material: KittelMaterial, omega, label: str | None = Non
     raises InvalidSystem naming the frequency, and the magnon when its
     label is given.
     """
-    w_arr = _float_array(omega)
-    if np.any(w_arr < 0.0) or not np.all(np.isfinite(w_arr)):
-        raise NegativeFrequency(f"target frequency must be finite and >= 0, got {omega!r}")
+    w_arr = _checked(omega, ">= 0", NegativeFrequency, "target frequency")
     m4 = material.four_pi_m
     with np.errstate(over="ignore"):
         x = (w_arr / material.gamma) ** 2
@@ -316,7 +315,7 @@ def field_for_frequency(material: KittelMaterial, omega, label: str | None = Non
 def kittel_slope(material: KittelMaterial, h, label: str | None = None):
     """Local derivative d omega / d h of the Kittel branch at field h;
     overflow raises InvalidSystem as in kittel_frequency."""
-    h_arr = _fields(h, "> 0")
+    h_arr = _checked(h, "> 0", NegativeField, "applied field")
     m4 = material.four_pi_m
     with np.errstate(over="ignore", invalid="ignore"):
         out = material.gamma * (2.0 * h_arr + m4) / (2.0 * np.sqrt(h_arr * (h_arr + m4)))

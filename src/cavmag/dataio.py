@@ -89,10 +89,18 @@ def _decimal_17(a):
 # holds e's words 0 and 3, the mask of its integer digits in words 1-2
 # (none for e < 0) and a 0x01 flag on its point's place (none for
 # -4 <= e <= -1, where the point leads).
+#
+# The 16 digits of words 1-2 are four groups of four, each spelled by one
+# gather from _DIGIT_TABLE: entry c holds b"%04d" % c in its low 32 bits,
+# the most significant digit in the lowest byte, and in its high 32 bits
+# 0xff on each byte up to c's last nonzero digit (none for c = 0).  The
+# table gives the digits as text and which of them to keep; nothing is
+# left to compute per digit.
 
-_U64 = np.uint64
+_U8, _U64 = np.uint8, np.uint64
 _ONES = _U64(0x0101010101010101)
 _ZEROS = _ONES * _U64(ord("0"))  # the text "00000000" as a word
+_LOW32 = _U64(0xFFFFFFFF)
 
 
 def _slot_record(e) -> bytes:
@@ -109,24 +117,30 @@ _SLOT_TABLE = np.frombuffer(b"".join(map(_slot_record, [*range(16), *range(-6, 0
                             dtype="<u8").reshape(22, 6).T
 
 
-def _eight_digits_text(n):
-    """The 8 digits of each n < 10^8, one value 0-9 per byte, the most
-    significant in the lowest byte: 4-, 2- and 1-digit lanes in turn.
+def _digit_table() -> np.ndarray:
+    """_DIGIT_TABLE, built with array operations: a Python loop over its
+    10^4 entries would add milliseconds to every start."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # row k: digit k of each c
+    kept = np.maximum.accumulate(digits[::-1], axis=0)[::-1] != 0  # a nonzero digit here or after
+    return np.vstack((digits + _U8(ord("0")), kept * _U8(0xFF))).T.copy().view("<u8").ravel()
+
+
+_DIGIT_TABLE = _digit_table()
+
+
+def _digit_word(n):
+    """(text, kept) of each n < 10^8: its 8 digits as a word of ASCII,
+    the most significant in the lowest byte, and 0xff on each byte at or
+    before its last nonzero digit.
     """
     top = (n * _U64(3518437209)) >> _U64(45)  # n // 10^4
-    n = top | ((n - top * _U64(10**4)) << _U64(32))
-    top = ((n * _U64(10486)) >> _U64(20)) & _U64(0x0000007F0000007F)  # // 100 per lane
-    n = top | ((n - top * _U64(100)) << _U64(16))
-    top = ((n * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)  # // 10 per lane
-    return top | ((n - top * _U64(10)) << _U64(8))
-
-
-def _kept(digits):
-    """0x01 on each byte at or before the word's last nonzero digit."""
-    flags = ((digits + _ONES * _U64(0x7F)) & (_ONES * _U64(0x80))) >> _U64(7)
-    for shift in (8, 16, 32):
-        flags |= flags >> _U64(shift)
-    return flags
+    # int64 indices: take() would first copy uint64 ones to its index type
+    first = _DIGIT_TABLE.take(top.view(np.int64))
+    last = _DIGIT_TABLE.take((n - top * _U64(10**4)).view(np.int64))
+    text = (first & _LOW32) | (last << _U64(32))
+    # a digit kept in the last group keeps all of the first, and sets the group's lowest byte
+    kept = (first >> _U64(32)) | (last & ~_LOW32) | ((last >> _U64(32)) & _U64(0xFF)) * _U64(0x01010101)
+    return text, kept
 
 
 def _write_17g(x, slots, end) -> None:
@@ -145,12 +159,11 @@ def _write_17g(x, slots, end) -> None:
     first = digits // _U64(10**16)
     rest = digits - first * _U64(10**16)
     high = rest // _U64(10**8)
-    low = _eight_digits_text(rest - high * _U64(10**8))
-    high = _eight_digits_text(high)
-    kept2 = _kept(low)
-    kept1 = _kept(high) | (kept2 & _U64(1)) * _ONES  # a digit kept in word 2 keeps all of word 1
-    high = (high | _ZEROS) & (kept1 * _U64(0xFF) | integer1)
-    low = (low | _ZEROS) & (kept2 * _U64(0xFF) | integer2)
+    low, kept2 = _digit_word(rest - high * _U64(10**8))
+    high, kept1 = _digit_word(high)
+    kept1 |= (kept2 & _U64(0xFF)) * _ONES  # a digit kept in word 2 keeps all of word 1
+    high &= kept1 | integer1
+    low &= kept2 | integer2
     moved1, moved2 = high & ~integer1, low & ~integer2
     slots[:, 0] = word0 | (np.signbit(x) * _U64(ord("-"))) | ((first | _U64(ord("0"))) << _U64(56))
     slots[:, 1] = (high & integer1) | (moved1 << _U64(8)) | (kept1 & point1) * _U64(ord("."))
@@ -191,8 +204,9 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
         for start in range(0, len(heads), _WRITE_BLOCK):
             values = spectrum.values[start:start + _WRITE_BLOCK]
             block = rows[:values.size]
-            np.bitwise_or(heads[start:start + _WRITE_BLOCK, None], tails[:, :head_words],
-                          out=block.reshape(-1, n_freqs, words + 8)[..., :head_words])
+            by_freq = block.reshape(-1, n_freqs, words + 8)
+            for k in range(head_words):  # one word at a time: the inner loop runs over frequencies
+                np.bitwise_or(heads[start:start + _WRITE_BLOCK, k, None], tails[:, k], out=by_freq[..., k])
             _write_17g(values.real.ravel(), block[:, words:words + 4], ord(","))
             _write_17g(values.imag.ravel(), block[:, words + 4:], ord("\n"))
             handle.write(block.tobytes().translate(None, b"\0"))
@@ -651,8 +665,11 @@ def render_pgm(spectrum: SpectrumMap) -> bytes:
     peak = float(magnitude.max())
     if peak == 0.0:
         gray = np.full(magnitude.shape, 255, dtype=np.uint8)
-    else:
-        gray = np.rint(255.0 * (1.0 - magnitude / peak)).astype(np.uint8)
+    else:  # rint(255 (1 - |s21| / peak)), each step in place
+        np.divide(magnitude, peak, out=magnitude)
+        np.subtract(1.0, magnitude, out=magnitude)
+        np.multiply(255.0, magnitude, out=magnitude)
+        gray = np.rint(magnitude, out=magnitude).astype(np.uint8)
     image = gray.T[::-1, :]  # rows: frequency descending; columns: field ascending
     header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii")
     return header + image.tobytes()

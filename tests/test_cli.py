@@ -109,7 +109,19 @@ def test_kittel_overflow_exits_2_naming_magnon_and_field(tmp_path, capsys, comma
 # ── map / branches ─────────────────────────────────────────────────────
 
 
-def test_map_writes_csv_and_heatmap(tmp_path, small_config):
+def record_writes(monkeypatch):
+    """The writers cli calls, in order, as (name, path) pairs."""
+    calls = []
+    for name in ("write_pgm", "write_spectrum_csv"):
+        def writer(path, spectrum, name=name, original=getattr(cli, name)):
+            calls.append((name, Path(path).name))
+            original(path, spectrum)
+        monkeypatch.setattr(cli, name, writer)
+    return calls
+
+
+def test_map_writes_csv_and_heatmap(tmp_path, small_config, monkeypatch):
+    calls = record_writes(monkeypatch)
     out = tmp_path / "map.csv"
     rc = main(["map", "--config", str(small_config), "--out", str(out), "--heatmap"])
     assert rc == 0
@@ -117,6 +129,31 @@ def test_map_writes_csv_and_heatmap(tmp_path, small_config):
     assert spectrum.values.shape == (21, 33)
     pgm = out.with_suffix(".pgm")
     assert pgm.read_bytes().startswith(b"P5\n21 33\n255\n")
+    # the heatmap first: truncating it right after the CSV would wait for the CSV's flush
+    assert calls == [("write_pgm", "map.pgm"), ("write_spectrum_csv", "map.csv")]
+
+
+@pytest.mark.parametrize("command", ["map", "synth"])
+@pytest.mark.parametrize("name", ["x.pgm", "x.csv.pgm"])
+def test_heatmap_refuses_an_out_that_is_its_own_pgm(tmp_path, small_config, monkeypatch, capsys,
+                                                    command, name):
+    # was exit 0 with only the PGM left: the heatmap overwrote the spectrum CSV
+    for compute in ("compute_map", "synth_map"):
+        monkeypatch.setattr(cli, compute, lambda *args: pytest.fail("computed before the check"))
+    out = tmp_path / name
+    rc = main([command, "--config", str(small_config), "--out", str(out), "--heatmap"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: --out {str(out)!r} is the file --heatmap writes; "
+                            "give --out a suffix other than .pgm\n")
+    assert list(tmp_path.iterdir()) == [small_config]
+
+
+def test_map_writes_a_pgm_out_without_heatmap(tmp_path, small_config):
+    out = tmp_path / "map.pgm"  # only --heatmap claims the .pgm sibling
+    assert main(["map", "--config", str(small_config), "--out", str(out)]) == 0
+    assert read_spectrum_csv(out).values.shape == (21, 33)
 
 
 def test_branches_row_count(tmp_path, small_config):
@@ -148,6 +185,15 @@ def test_synth_without_noise_equals_map(tmp_path, small_config):
     assert main(["synth", "--config", str(small_config), "--out", str(synth_out)]) == 0
     assert main(["map", "--config", str(small_config), "--out", str(map_out)]) == 0
     assert synth_out.read_bytes() == map_out.read_bytes()
+
+
+def test_synth_writes_heatmap_before_csv(tmp_path, small_config, monkeypatch):
+    calls = record_writes(monkeypatch)
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--config", str(small_config), "--out", str(out), "--heatmap"]) == 0
+    assert calls == [("write_pgm", "synth.pgm"), ("write_spectrum_csv", "synth.csv")]
+    assert read_spectrum_csv(out).values.shape == (21, 33)
+    assert out.with_suffix(".pgm").read_bytes().startswith(b"P5\n21 33\n255\n")
 
 
 def test_synth_noise_overflow_exits_2_without_warning_or_file(tmp_path, capsys):

@@ -147,6 +147,31 @@ def test_kittel_rejects_negative_field():
         kittel_frequency(YIG, np.array([10.0, -2.0]))
 
 
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: kittel_frequency(YIG, [1000, -10**400]), NegativeField,
+     "applied field must be finite and >= 0, got -inf"),
+    (lambda: kittel_frequency(YIG, np.array([1000.0, math.nan])), NegativeField,
+     "applied field must be finite and >= 0, got nan"),
+    (lambda: kittel_slope(YIG, [800.0, 0.0, -1.0]), NegativeField,
+     "applied field must be finite and > 0, got 0.0"),
+    (lambda: field_for_frequency(YIG, np.array([1.0, -1.0])), NegativeFrequency,
+     "target frequency must be finite and >= 0, got -1.0"),
+    (lambda: field_for_frequency(YIG, [29.2, math.inf]), NegativeFrequency,
+     "target frequency must be finite and >= 0, got inf"),
+    (lambda: kittel_frequency(YIG, -1), NegativeField,  # a scalar is named as given
+     "applied field must be finite and >= 0, got -1"),
+    (lambda: field_for_frequency(YIG, -0.1), NegativeFrequency,
+     "target frequency must be finite and >= 0, got -0.1"),
+], ids=["int_past_float", "nan", "zero_slope", "array_frequency", "list_frequency",
+        "scalar_field", "scalar_frequency"])
+def test_field_and_frequency_errors_name_the_first_bad_value_as_a_float(call, error, text):
+    # an array entry was named by numpy's repr (np.float64(-inf)), or the
+    # whole input by field_for_frequency (array([ 1., -1.]))
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == text
+
+
 def test_field_for_frequency_crossings():
     assert math.isclose(field_for_frequency(PERMALLOY, 29.2), CROSS_PY_29_2, rel_tol=1e-12)
     assert math.isclose(field_for_frequency(YIG, 29.2), CROSS_YIG_29_2, rel_tol=1e-12)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cavmag.core import PERMALLOY, YIG, ModeSpec
 from cavmag.dataio import (
+    _DIGIT_TABLE,
     _POW10,
     _WRITE_BLOCK,
     SPECTRUM_HEADER,
@@ -166,6 +167,14 @@ def test_every_exponent_and_trailing_zero_count():
 
 def test_powers_of_ten_are_exact():
     assert [Fraction(p) for p in _POW10] == [Fraction(10) ** k for k in range(23)]
+
+
+def test_digit_table_spells_every_group_and_its_kept_digits():
+    assert _DIGIT_TABLE.shape == (10**4,)
+    for c, entry in enumerate(_DIGIT_TABLE.tolist()):
+        text = b"%04d" % c
+        last = len(text.rstrip(b"0"))  # bytes up to the last nonzero digit; 0 for c = 0
+        assert entry.to_bytes(8, "little") == text + b"\xff" * last + b"\0" * (4 - last), c
 
 
 def random_values(rng, shape):

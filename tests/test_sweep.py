@@ -273,8 +273,7 @@ def test_sweep_names_first_negative_field():
                   lambda: compute_map(two_magnon_template(), fields, [29.0])):
         with pytest.raises(NegativeField) as info:
             sweep()
-        assert str(info.value).startswith("applied field must be finite and >= 0, got ")
-        assert f"{fields[0]!r}" in str(info.value) and len(str(info.value)) < 80
+        assert str(info.value) == "applied field must be finite and >= 0, got -10.0"
 
 
 def unscreened_guard(template, fields, freqs):
