@@ -137,7 +137,7 @@ def test_map_writes_csv_and_heatmap(tmp_path, small_config, monkeypatch):
 @pytest.mark.parametrize("name", ["x.pgm", "x.csv.pgm"])
 def test_heatmap_refuses_an_out_that_is_its_own_pgm(tmp_path, small_config, monkeypatch, capsys,
                                                     command, name):
-    # was exit 0 with only the PGM left: the heatmap overwrote the spectrum CSV
+    # the heatmap would overwrite the spectrum CSV, or the CSV the heatmap
     for compute in ("compute_map", "synth_map"):
         monkeypatch.setattr(cli, compute, lambda *args: pytest.fail("computed before the check"))
     out = tmp_path / name

@@ -165,8 +165,7 @@ def test_kittel_rejects_negative_field():
 ], ids=["int_past_float", "nan", "zero_slope", "array_frequency", "list_frequency",
         "scalar_field", "scalar_frequency"])
 def test_field_and_frequency_errors_name_the_first_bad_value_as_a_float(call, error, text):
-    # an array entry was named by numpy's repr (np.float64(-inf)), or the
-    # whole input by field_for_frequency (array([ 1., -1.]))
+    # not numpy's repr (np.float64(-inf)), nor the whole input (array([ 1., -1.]))
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == text
