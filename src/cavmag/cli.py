@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,12 @@ from .errors import CavmagError, ConfigError, DataFormatError, InvalidSystem
 from .fitting import (
     FitProblem,
     FitResult,
-    FreeParameter,
     RidgeSet,
     coupling_guess_from_ridges,
-    damping_guess_from_column,
     extract_ridges,
     fit_branches,
     fit_map,
     linear_regression,
-    resolve_parameter,
 )
 from .sweep import compute_branches, compute_map, crossing_window, gap_at_crossing, thickness_sweep
 from .synth import NoiseSpec, synth_map
@@ -150,48 +148,38 @@ def cmd_branches(args) -> int:
 
 
 def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet | None]:
-    """The fit problem, plus the data's ridges when a branch fit or a
-    coupling's default initial guess needs them (extracted once)."""
-    fit_cfg = config.fit
-    if fit_cfg is None:
-        raise ConfigError("config has no 'fit' block")
-    template = config.template()
-    freq_step = (data.freqs[-1] - data.freqs[0]) / max(data.freqs.size - 1, 1)
-    n_ridges = fit_cfg.n_ridges if fit_cfg.n_ridges is not None else len(config.modes)
-    min_separation = (fit_cfg.min_separation if fit_cfg.min_separation is not None
-                      else max(4.0 * freq_step, 1e-9))
-    ridges = None
-    free: list[FreeParameter] = []
-    for entry in fit_cfg.free:
-        name, lower, upper = entry["name"], float(entry["lower"]), float(entry["upper"])
-        if "initial" in entry:
-            initial = float(entry["initial"])
-        else:
-            kind, slots = resolve_parameter(template, name)
-            if ridges is None and kind == "g":
-                ridges = extract_ridges(data, n_ridges, min_separation)
-            initial = float(np.clip(_default_initial(kind, slots, template, data, ridges), lower, upper))
-        free.append(FreeParameter(name=name, lower=lower, upper=upper, initial=initial))
-    problem = FitProblem(template=template, free=tuple(free))
-    if ridges is None and fit_cfg.method == "branches":
-        ridges = extract_ridges(data, n_ridges, min_separation)
-    return problem, ridges
+    """The config's fit problem with each missing initial filled in, plus
+    the data's ridges when a branch fit or a coupling's start needs them.
 
-
-def _default_initial(kind, slots, template, data, ridges) -> float:
-    """Recipe for a missing initial guess of a resolved parameter.
-
-    Couplings start from half the minimal ridge splitting near the
-    relevant crossing; dampings from the strongest-ridge width split
-    half intrinsic, half extrinsic; everything else from the template.
+    A coupling starts from half the minimal ridge splitting near its
+    magnon's crossing, every other parameter from the template's value,
+    each clipped into its box.
     """
-    if kind == "g":
-        order = template.mode_order()
-        other = slots[0] if order[slots[1]] == template.resonator.label else slots[1]
-        return coupling_guess_from_ridges(ridges, crossing_window(template, order[other]))
-    if kind in ("alpha", "beta"):
-        return damping_guess_from_column(data) / 2.0
-    return template.arrays[kind][slots[0]]  # omega, gamma or four_pi_m
+    if config.fit is None:
+        raise ConfigError("config has no 'fit' block")
+    fit_cfg, problem = config.fit, config.fit.problem
+    ridges = None
+    if fit_cfg.method == "branches" or any(
+            p.initial is None and kind == "g" for p, (kind, _) in zip(problem.free, problem.slots)):
+        freq_step = (data.freqs[-1] - data.freqs[0]) / max(data.freqs.size - 1, 1)
+        n_ridges = fit_cfg.n_ridges if fit_cfg.n_ridges is not None else len(config.modes)
+        min_separation = (fit_cfg.min_separation if fit_cfg.min_separation is not None
+                          else max(4.0 * freq_step, 1e-9))
+        ridges = extract_ridges(data, n_ridges, min_separation)
+    if all(p.initial is not None for p in problem.free):
+        return problem, ridges
+    template, order = problem.template, problem.template.mode_order()
+    free = []
+    for p, (kind, slots) in zip(problem.free, problem.slots):
+        if p.initial is None:
+            if kind == "g":
+                magnon = order[slots[0] if order[slots[1]] == template.resonator.label else slots[1]]
+                start = coupling_guess_from_ridges(ridges, crossing_window(template, magnon))
+            else:
+                start = template.arrays[kind][slots[0]]
+            p = replace(p, initial=float(np.clip(start, p.lower, p.upper)))
+        free.append(p)
+    return FitProblem(template, tuple(free)), ridges
 
 
 def _report_lines(result: FitResult, n_data: int, order: list[str]) -> list[str]:

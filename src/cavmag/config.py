@@ -7,13 +7,12 @@ lambda (lambda is converted once on load) and exactly one of omega or
 material.  Model rules stay with the model: each number a record owns
 goes to it unchecked (the records check every scalar through
 core._real), parse_config builds the template once, which checks labels
-and couplings, and fit names go through fitting.resolve_parameter, all
+and couplings, and the fit block's FitProblem, which checks the whole
+box (fitting.ridge_option checks n_ridges and min_separation), all
 surfacing as ConfigError.  _number applies the same rule to the numbers
-no record owns: grid ends, display_scale, the crosslink, thicknesses,
-fit.free bounds and min_separation.  A fit block naming both aliases of
-a coupling loads; FitProblem rejects it.  Writing is canonical (sorted
-keys, two-space indent, trailing newline) so a write - read - write
-cycle is byte-identical.
+no record owns: grid ends, display_scale, the crosslink and thicknesses.
+Writing is canonical (sorted keys, two-space indent, trailing newline)
+so a write - read - write cycle is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .core import KittelMaterial, ModeSpec, _real, lambda_to_beta
 from .dataio import read_text
 from .errors import ConfigError, DataFormatError, InvalidSystem, NegativeCoupling
-from .fitting import resolve_parameter
+from .fitting import FitProblem, FreeParameter, ridge_option
 from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel
 from .synth import NoiseSpec
 
@@ -64,7 +63,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class FitConfig:
     method: str  # "map" or "branches"
-    free: tuple[dict, ...]  # raw parameter entries, resolved by the CLI
+    problem: FitProblem  # initial None where the config gives none
     n_ridges: int | None
     min_separation: float | None
 
@@ -155,27 +154,23 @@ def _parse_fit(entry: dict, template: SystemTemplate) -> FitConfig:
     raw_free = entry["free"]
     if not isinstance(raw_free, list):
         raise ConfigError("fit: 'free' must be a list of parameter entries")
+    free = []
     for k, item in enumerate(raw_free):
         _expect_keys(item, f"fit.free[{k}]", ("name", "lower", "upper"), ("initial",))
-        name = item["name"]
-        if not isinstance(name, str):
-            raise ConfigError(f"fit.free[{k}]: 'name' must be a string")
+        if item.get("initial", 0.0) is None:  # None is a FreeParameter's "not given"
+            raise ConfigError(f"fit.free[{k}]: 'initial' must be a finite real, got None")
         try:
-            resolve_parameter(template, name)
+            free.append(FreeParameter(**item))
         except InvalidSystem as exc:
             raise ConfigError(f"fit.free[{k}]: {exc}") from None
-        _number(item, f"fit.free[{k}]", "lower")
-        _number(item, f"fit.free[{k}]", "upper")
-        if "initial" in item:
-            _number(item, f"fit.free[{k}]", "initial")
-    n_ridges = entry.get("n_ridges")
-    if n_ridges is not None and (isinstance(n_ridges, bool) or not isinstance(n_ridges, int) or n_ridges < 1):
-        raise ConfigError(f"fit: 'n_ridges' must be an integer >= 1, got {n_ridges!r}")
-    min_separation = None
-    if "min_separation" in entry:
-        min_separation = _number(entry, "fit", "min_separation", "> 0")
-    return FitConfig(method=method, free=tuple(dict(item) for item in raw_free),
-                     n_ridges=n_ridges, min_separation=min_separation)
+    try:
+        problem = FitProblem(template, tuple(free))
+        options = {key: ridge_option(key, entry[key])
+                   for key in ("n_ridges", "min_separation") if key in entry}
+    except InvalidSystem as exc:
+        raise ConfigError(f"fit: {exc}") from None
+    return FitConfig(method=method, problem=problem, n_ridges=options.get("n_ridges"),
+                     min_separation=options.get("min_separation"))
 
 
 def _parse_thickness(entry: dict, template: SystemTemplate) -> ThicknessConfig:
@@ -279,8 +274,12 @@ def config_to_dict(config: RunConfig) -> dict:
     }
     if config.noise is not None:
         out["noise"] = asdict(config.noise)
-    if config.fit is not None:  # n_ridges and min_separation are None when absent
-        out["fit"] = {k: v for k, v in asdict(config.fit).items() if v is not None}
+    if config.fit is not None:  # n_ridges, min_separation and initials are None when absent
+        fit = config.fit
+        block = {"method": fit.method, "n_ridges": fit.n_ridges, "min_separation": fit.min_separation,
+                 "free": [{k: v for k, v in asdict(p).items() if v is not None}
+                          for p in fit.problem.free]}
+        out["fit"] = {k: v for k, v in block.items() if v is not None}
     if config.thickness is not None:
         t = config.thickness
         block = {**asdict(t.model), "thicknesses": list(t.thicknesses), "varied": t.varied,

@@ -20,9 +20,11 @@ and reports sigma_beta = 2 s sigma_s.
 Names meet a template only in resolve_parameter, where both spellings
 of a coupling resolve alike, so a box naming both aliases ('g:a:b' and
 'g:b:a') is rejected.  The box is validated once, when the FitProblem
-is built, without building a template (see FitProblem).  Evaluations
-re-validate nothing and build no template or system: each writes its
-candidate into a copy of the template's arrays and builds H from them.
+is built, without building a template (see FitProblem); a parameter's
+initial may be left None there, but a fit refuses to start without it.
+Evaluations re-validate nothing and build no template or system: each
+writes its candidate into a copy of the template's arrays and builds H
+from them.
 
 Convergence contract: a fit has converged when an accepted step lowers
 the objective by at most FTOL_REL of its value, when a step measured in
@@ -50,8 +52,6 @@ from .sweep import (SpectrumMap, SystemTemplate, _block_work, _each_block, _para
 FTOL_REL = 1e-10
 XTOL = 1e-12
 MAX_ITERATIONS = 100
-# The field column whose strongest peak width damping_guess_from_column reads.
-DAMPING_GUESS_COLUMN = -1
 # Starting damping, relative to the diagonal scaling: close to Gauss-Newton.
 _MU_START = 1e-3
 
@@ -70,6 +70,16 @@ class RidgeSet:
         return sum(p.size for p in self.peaks)
 
 
+def ridge_option(name: str, value):
+    """An extract_ridges option checked: n_ridges an integer >= 1,
+    min_separation a finite real > 0 (returned as a float)."""
+    if name == "min_separation":
+        return _real(value, name, "> 0")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidSystem(f"n_ridges must be an integer >= 1, got {value!r}")
+    return value
+
+
 def extract_ridges(spectrum: SpectrumMap, n_ridges: int, min_separation: float) -> RidgeSet:
     """Locate up to n_ridges |s21| peaks per field column.
 
@@ -80,9 +90,8 @@ def extract_ridges(spectrum: SpectrumMap, n_ridges: int, min_separation: float) 
     parabola is not concave, or whose vertex leaves its bracket, keeps
     its grid point and height.
     """
-    if isinstance(n_ridges, bool) or not isinstance(n_ridges, int) or n_ridges < 1:
-        raise InvalidSystem(f"n_ridges must be an integer >= 1, got {n_ridges!r}")
-    min_separation = _real(min_separation, "min_separation", "> 0")
+    n_ridges = ridge_option("n_ridges", n_ridges)
+    min_separation = ridge_option("min_separation", min_separation)
     freqs = spectrum.freqs
     magnitudes = np.abs(spectrum.values)
     centre = magnitudes[:, 1:-1]
@@ -121,8 +130,11 @@ _PARAM_KINDS = ("g", "alpha", "beta", "omega", "gamma", "four_pi_m")
 def split_parameter_name(name: str) -> tuple[str, list[str]]:
     """Kind and mode labels of a 'kind:label' or 'g:labelA:labelB' name.
 
-    Raises InvalidSystem for an unknown kind or a wrong label count.
+    Raises InvalidSystem for a name that is not a string, an unknown kind
+    or a wrong label count.
     """
+    if not isinstance(name, str):
+        raise InvalidSystem(f"parameter name must be a string, got {name!r}")
     kind, *labels = name.split(":")
     if kind not in _PARAM_KINDS:
         raise InvalidSystem(f"unknown parameter kind in {name!r}")
@@ -153,7 +165,8 @@ def resolve_parameter(template: SystemTemplate, name: str) -> tuple[str, tuple[i
 
 @dataclass(frozen=True)
 class FreeParameter:
-    """One free scalar with finite bounds and an in-bounds initial guess.
+    """One free scalar with finite bounds and an in-bounds initial guess,
+    or initial None where none is given yet (a fit refuses to start then).
 
     Names follow 'kind:label' or 'g:labelA:labelB': couplings by label
     pair, alpha/beta by mode label, omega for the resonator, gamma and
@@ -165,16 +178,17 @@ class FreeParameter:
     name: str
     lower: float
     upper: float
-    initial: float
+    initial: float | None = None
 
     def __post_init__(self):
         kind, _ = split_parameter_name(self.name)
-        _real_fields(self, ("lower", "upper", "initial"), f"parameter {self.name!r}: ")
+        given = ("lower", "upper") if self.initial is None else ("lower", "upper", "initial")
+        _real_fields(self, given, f"parameter {self.name!r}: ")
         if not self.lower < self.upper:
             raise InvalidSystem(
                 f"parameter {self.name!r}: bounds [{self.lower}, {self.upper}] leave no freedom"
             )
-        if not self.lower <= self.initial <= self.upper:
+        if self.initial is not None and not self.lower <= self.initial <= self.upper:
             raise InvalidSystem(
                 f"parameter {self.name!r}: initial {self.initial} outside [{self.lower}, {self.upper}]"
             )
@@ -399,9 +413,12 @@ def _optimize(evaluate, problem: FitProblem, n_data: int) -> FitResult:
 
     evaluate takes the parameter values (beta itself, not its root) and
     returns (f, J^T r, J^T J), its beta columns taken with respect to
-    sqrt(beta).
+    sqrt(beta).  InvalidSystem if a parameter has no initial.
     """
     names = [p.name for p in problem.free]
+    for p in problem.free:
+        if p.initial is None:
+            raise InvalidSystem(f"parameter {p.name!r} has no initial value to start from")
     root = np.array([kind == "beta" for kind, _ in problem.slots], dtype=bool)
 
     def values(u: np.ndarray) -> np.ndarray:
@@ -557,30 +574,3 @@ def coupling_guess_from_ridges(ridges: RidgeSet, window: tuple[float, float]) ->
     if not math.isfinite(best):
         raise DegenerateData(f"no field in [{lo}, {hi}] carries two ridges")
     return best / 2.0
-
-
-def damping_guess_from_column(spectrum: SpectrumMap) -> float:
-    """Total damping (alpha + beta) from the FWHM of |s21|^2 in the column
-    DAMPING_GUESS_COLUMN.
-
-    The strongest peak's full width at half maximum equals twice the
-    total damping of an isolated mode; callers splitting the result
-    between alpha and beta typically halve it again.
-    """
-    power = np.abs(spectrum.values[DAMPING_GUESS_COLUMN]) ** 2
-    freqs = spectrum.freqs
-    k = int(np.argmax(power))
-    half = power[k] / 2.0
-    if power[k] == 0.0:
-        raise DegenerateData("column carries no response")
-    left = freqs[0]
-    for i in range(k, 0, -1):
-        if power[i - 1] <= half:
-            left = float(np.interp(half, [power[i - 1], power[i]], [freqs[i - 1], freqs[i]]))
-            break
-    right = freqs[-1]
-    for i in range(k, freqs.size - 1):
-        if power[i + 1] <= half:
-            right = float(np.interp(half, [power[i + 1], power[i]], [freqs[i + 1], freqs[i]]))
-            break
-    return (right - left) / 2.0

@@ -9,9 +9,10 @@ import pytest
 
 from cavmag import cli, fitting
 from cavmag.cli import main
-from cavmag.config import GridSpec, load_config
+from cavmag.config import GridSpec, load_config, parse_config
+from cavmag.core import kittel_frequency
 from cavmag.dataio import format_float, read_spectrum_csv
-from cavmag.sweep import gap_at_crossing
+from cavmag.sweep import SpectrumMap, gap_at_crossing
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -83,6 +84,22 @@ def test_kittel_fields_rejects_empty_lists_and_parts(small_config, capsys, field
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == f"config error: --fields expects comma-separated numbers, got {fields!r}\n"
+
+
+def test_kittel_material_restricts_the_table_to_that_mode(capsys):
+    config = CONFIG_DIR / "full_device.config"
+    rc = main(["kittel", "--config", str(config), "--material", "yig", "--fields", "1000"])
+    assert rc == 0
+    omega = kittel_frequency(load_config(config).material_modes()["yig"], 1000.0)
+    assert capsys.readouterr().out == f"label h_oe omega\nyig 1000 {format_float(omega)}\n"
+
+
+def test_kittel_without_a_field_driven_mode_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(small_doc(modes=small_doc()["modes"][:1], couplings=[])),
+                      encoding="utf-8")
+    assert main(["kittel", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "config error: config has no field-driven mode\n"
 
 
 def test_kittel_unknown_material(small_config, capsys):
@@ -283,21 +300,79 @@ def test_fit_that_stops_unconverged_exits_4(tmp_path, monkeypatch, capsys):
     assert "converged: false" in report and "iterations: 1" in report
 
 
-def test_fit_rejects_a_box_naming_both_coupling_aliases(tmp_path, capsys):
+def test_a_box_naming_both_coupling_aliases_is_refused_on_load(tmp_path, capsys):
     doc = json.loads((CONFIG_DIR / "yig_only.config").read_text(encoding="utf-8"))
-    doc["field_grid"]["count"], doc["freq_grid"]["count"] = 21, 31
-    del doc["noise"]
     doc["fit"]["free"] = [{"name": name, "lower": 0.05, "upper": 0.6, "initial": 0.125}
                           for name in ("g:cpw:yig", "g:yig:cpw")]
     config = tmp_path / "run.config"
     config.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["synth", "--out", str(tmp_path / "data.csv")],
+                 ["fit", "--data", str(tmp_path / "missing.csv")]):
+        assert main(argv + ["--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: fit: duplicate free parameters: "
+                                "'g:cpw:yig' and 'g:yig:cpw'\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command", ["map", "synth", "fit"])
+def test_reversed_fit_bounds_exit_2_on_load_before_any_data_is_read(tmp_path, capsys, command):
+    doc = json.loads((CONFIG_DIR / "yig_only.config").read_text(encoding="utf-8"))
+    doc["fit"]["free"][0].update(lower=0.6, upper=0.05)
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    files = (["--data", str(tmp_path / "missing.csv")] if command == "fit"
+             else ["--out", str(tmp_path / "out.csv")])
+    assert main([command, "--config", str(config)] + files) == 2
+    assert capsys.readouterr().err == ("config error: fit.free[0]: parameter 'g:cpw:yig': "
+                                       "bounds [0.6, 0.05] leave no freedom\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_parameters_freed_without_initial_start_from_the_template_clipped_into_the_box():
+    fit_block = {"method": "map", "free": [
+        {"name": "alpha:yig", "lower": 0.0, "upper": 0.1},       # template 0.005
+        {"name": "beta:cpw", "lower": 0.03, "upper": 0.1},       # template 0.02
+        {"name": "omega:cpw", "lower": 28.0, "upper": 29.1},     # template 29.2
+        {"name": "gamma:yig", "lower": 0.01, "upper": 0.02, "initial": 0.015}]}
+    config = parse_config(json.dumps(small_doc(fit=fit_block)))
+    data = SpectrumMap(np.array([1000.0]), np.array([29.0, 29.2]), np.zeros((1, 2), complex))
+    problem, ridges = cli._resolve_fit_problem(config, data)
+    assert [p.initial for p in problem.free] == [0.005, 0.03, 29.1, 0.015]
+    assert problem.template is config.fit.problem.template
+    assert ridges is None  # no coupling needs a guess and the fit is a map fit
+
+
+def test_dampings_freed_without_initial_recover_from_template_values_off_the_truth(tmp_path, capsys):
+    # noise-free 96 x 128 full_device map; the fit config's freed dampings
+    # are x0.5 and x1.5 the synthesis truth, every other number true
+    doc = json.loads((CONFIG_DIR / "full_device.config").read_text(encoding="utf-8"))
+    doc["field_grid"]["count"], doc["freq_grid"]["count"] = 96, 128
+    del doc["fit"]
+    truth_config = tmp_path / "truth.config"
+    truth_config.write_text(json.dumps(doc), encoding="utf-8")
     data = tmp_path / "data.csv"
-    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
-    rc = main(["fit", "--config", str(config), "--data", str(data)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "converged" not in captured.out
-    assert "duplicate free parameters: 'g:cpw:yig' and 'g:yig:cpw'" in captured.err
+    assert main(["map", "--config", str(truth_config), "--out", str(data)]) == 0
+    modes = {mode["label"]: mode for mode in doc["modes"]}
+    truth = {}
+    for name, factor in (("alpha:cpw", 0.5), ("beta:cpw", 1.5), ("alpha:yig", 1.5),
+                         ("beta:py", 0.5)):
+        kind, label = name.split(":")
+        truth[name] = modes[label][kind]
+        modes[label][kind] *= factor
+    doc["fit"] = {"method": "map",
+                  "free": [{"name": name, "lower": 0.0, "upper": 0.1} for name in truth]}
+    config = tmp_path / "fit.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", "--config", str(config), "--data", str(data)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fitted = {line.split()[1]: float(line.split()[3]) for line in lines
+              if line.startswith("parameter:")}
+    assert fitted.keys() == truth.keys()
+    for name, value in truth.items():
+        assert abs(fitted[name] - value) <= 1e-6 * value, name
 
 
 def test_fit_missing_row_exits_5(tmp_path, capsys):
@@ -349,8 +424,9 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     assert "config error: line 1: byte 0xff is not valid UTF-8" in capsys.readouterr().err
 
 
-def test_branch_fit_extracts_ridges_once(tmp_path, monkeypatch, capsys):
-    doc = small_doc(
+def branch_doc(fit):
+    """Criterion-5 dampings on a 121 x 401 full-device grid, with fit block fit."""
+    return small_doc(
         modes=[
             {"label": "py", "alpha": 0.003, "beta": 0.002,
              "material": {"gamma": 2.94e-3, "four_pi_m": 10900.0}},
@@ -360,9 +436,12 @@ def test_branch_fit_extracts_ridges_once(tmp_path, monkeypatch, capsys):
         couplings=[{"pair": ["py", "cpw"], "g": 0.2}, {"pair": ["cpw", "yig"], "g": 0.21}],
         field_grid={"start": 200.0, "stop": 6800.0, "count": 121},
         freq_grid={"start": 27.2, "stop": 31.2, "count": 401},
-        fit={"method": "branches", "free": [{"name": "g:py:cpw", "lower": 0.02, "upper": 0.6},
-                                            {"name": "g:cpw:yig", "lower": 0.02, "upper": 0.6}]},
+        fit=fit,
     )
+
+
+def fit_counting_ridge_extractions(tmp_path, monkeypatch, doc) -> tuple[int, list]:
+    """Exit code of a fit of doc to its own map, and the extract_ridges calls it made."""
     config = tmp_path / "run.config"
     config.write_text(json.dumps(doc), encoding="utf-8")
     data = tmp_path / "data.csv"
@@ -370,9 +449,31 @@ def test_branch_fit_extracts_ridges_once(tmp_path, monkeypatch, capsys):
     calls = []
     extract = cli.extract_ridges
     monkeypatch.setattr(cli, "extract_ridges", lambda *args: calls.append(args) or extract(*args))
-    rc = main(["fit", "--config", str(config), "--data", str(data)])
+    return main(["fit", "--config", str(config), "--data", str(data)]), calls
+
+
+def test_branch_fit_extracts_ridges_once(tmp_path, monkeypatch, capsys):
+    doc = branch_doc({"method": "branches",
+                      "free": [{"name": "g:py:cpw", "lower": 0.02, "upper": 0.6},
+                               {"name": "g:cpw:yig", "lower": 0.02, "upper": 0.6}]})
+    rc, calls = fit_counting_ridge_extractions(tmp_path, monkeypatch, doc)
     assert rc == 0, capsys.readouterr().err
     assert len(calls) == 1
+
+
+def test_branch_fit_with_every_initial_given_extracts_ridges_once(tmp_path, monkeypatch, capsys):
+    # the benchmark's branch-fit shape: explicit initials, n_ridges and min_separation
+    step = 4.0 / 400
+    doc = branch_doc({"method": "branches", "n_ridges": 3, "min_separation": 20.0 * step,
+                      "free": [{"name": "g:py:cpw", "lower": 0.02, "upper": 0.6, "initial": 0.26},
+                               {"name": "g:cpw:yig", "lower": 0.02, "upper": 0.6,
+                                "initial": 0.147}]})
+    rc, calls = fit_counting_ridge_extractions(tmp_path, monkeypatch, doc)
+    assert rc == 0, capsys.readouterr().err
+    assert [args[1:] for args in calls] == [(3, 20.0 * step)]
+    fitted = [float(line.split()[3]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("parameter:")]
+    assert fitted == pytest.approx([0.2, 0.21], rel=0.02)  # the benchmark check's tolerance
 
 
 @pytest.mark.parametrize("name", ["g:cpw", "g:cpw:yig:cpw", "alpha:cpw:yig", "beta"])

@@ -234,7 +234,7 @@ def test_rejects_bad_fit_block():
     expect_rejection(doc, "min_separation")
     doc = minimal_doc()
     doc["fit"] = {"method": "branches", "free": [], "n_ridges": 0}
-    expect_rejection(doc, "fit: 'n_ridges' must be an integer >= 1, got 0")
+    expect_rejection(doc, "fit: n_ridges must be an integer >= 1, got 0")
 
 
 def test_fit_and_thickness_labels_resolve_against_the_template_on_load():
@@ -252,11 +252,37 @@ def test_fit_and_thickness_labels_resolve_against_the_template_on_load():
     expect_rejection(doc, "no magnon labelled 'cpw'")
 
 
-def test_coupling_aliases_load_for_the_fit_problem_to_reject():
+def test_rejects_a_fit_block_naming_both_coupling_aliases():
     doc = minimal_doc()
     doc["fit"] = {"method": "map", "free": [{"name": name, "lower": 0.05, "upper": 0.6}
                                             for name in ("g:cpw:yig", "g:yig:cpw")]}
-    assert [entry["name"] for entry in parse(doc).fit.free] == ["g:cpw:yig", "g:yig:cpw"]
+    expect_rejection(doc, "fit: duplicate free parameters: 'g:cpw:yig' and 'g:yig:cpw'")
+
+
+def test_fit_block_loads_as_its_fit_problem_and_entry_errors_name_the_entry():
+    doc = minimal_doc()
+    doc["fit"] = {"method": "map", "free": [{"name": "g:cpw:yig", "lower": 0.05, "upper": 0.6},
+                                            {"name": "alpha:yig", "lower": 0, "upper": 1,
+                                             "initial": 0}]}
+    problem = parse(doc).fit.problem
+    assert problem.template == parse(doc).template()
+    assert [(p.name, p.lower, p.upper, p.initial) for p in problem.free] == [
+        ("g:cpw:yig", 0.05, 0.6, None), ("alpha:yig", 0.0, 1.0, 0.0)]
+    assert problem.slots == (("g", (0, 1)), ("alpha", (0,)))
+    for entry, text in [
+        ({"name": "g:cpw:yig", "lower": 0.6, "upper": 0.05},
+         "fit.free[0]: parameter 'g:cpw:yig': bounds [0.6, 0.05] leave no freedom"),
+        ({"name": "g:cpw:yig", "lower": "low", "upper": 0.6},
+         "fit.free[0]: parameter 'g:cpw:yig': lower must be a finite real, got 'low'"),
+        ({"name": "g:cpw:yig", "lower": 0.05, "upper": 0.6, "initial": 0.7},
+         "fit.free[0]: parameter 'g:cpw:yig': initial 0.7 outside [0.05, 0.6]"),
+        ({"name": "g:cpw:yig", "lower": 0.05, "upper": 0.6, "initial": None},
+         "fit.free[0]: 'initial' must be a finite real, got None"),
+        ({"name": ["g", "cpw", "yig"], "lower": 0.05, "upper": 0.6},
+         "fit.free[0]: parameter name must be a string, got ['g', 'cpw', 'yig']"),
+    ]:
+        doc["fit"]["free"] = [entry]
+        expect_rejection(doc, text)
 
 
 def test_rejects_bad_thickness_block():

@@ -19,7 +19,6 @@ from cavmag.fitting import (
     FreeParameter,
     RidgeSet,
     coupling_guess_from_ridges,
-    damping_guess_from_column,
     extract_ridges,
     fit_branches,
     fit_map,
@@ -120,6 +119,24 @@ def test_free_parameter_validation():
         FreeParameter("four_pi_m:py", 0.0, 1e4, 0.5)
     # couplings may be negative
     FreeParameter("g:cpw:py", -1.0, 1.0, -0.5)
+
+
+def test_free_parameter_initial_may_be_left_out_but_its_name_must_be_a_string():
+    free = FreeParameter("alpha:yig", 0.0, 0.1)
+    assert free.initial is None and type(free.lower) is float
+    with pytest.raises(InvalidSystem, match="parameter name must be a string, got 3"):
+        FreeParameter(3, 0.0, 1.0)
+
+
+def test_fits_refuse_a_parameter_without_an_initial():
+    template = one_magnon_template()
+    data = compute_map(template, np.linspace(850.0, 1150.0, 11), np.linspace(28.2, 30.2, 21))
+    ridges = extract_ridges(data, 2, 0.1)
+    problem = FitProblem(template, (FreeParameter("g:cpw:yig", 0.05, 0.6, 0.2),
+                                    FreeParameter("alpha:yig", 0.0, 0.1)))
+    for fit, points in ((fit_map, data), (fit_branches, ridges)):
+        with pytest.raises(InvalidSystem, match="parameter 'alpha:yig' has no initial value"):
+            fit(points, problem)
 
 
 def test_fit_problem_rejects_duplicates_and_bad_initials():
@@ -333,22 +350,6 @@ def test_coupling_guess_from_ridges():
     assert math.isclose(guess, 0.2, rel_tol=1e-12)
     with pytest.raises(DegenerateData, match="two ridges"):
         coupling_guess_from_ridges(ridges, (1050.0, 1150.0))
-
-
-def test_damping_guess_from_column():
-    # isolated resonator: FWHM of |s21|^2 equals twice the total damping
-    alpha, beta = 0.012, 0.02
-    template = SystemTemplate(
-        resonator=ModeSpec("cpw", 29.2, alpha, beta),
-        magnons=(),
-        couplings={},
-    )
-    spectrum = compute_map(template, np.array([100.0]), np.linspace(28.6, 29.8, 2001))
-    guess = damping_guess_from_column(spectrum)
-    assert abs(guess - (alpha + beta)) / (alpha + beta) < 0.01
-    empty = SpectrumMap(np.array([1.0]), np.array([1.0, 2.0]), np.zeros((1, 2), complex))
-    with pytest.raises(DegenerateData, match="no response"):
-        damping_guess_from_column(empty)
 
 
 def test_arrays_at_a_magnon_damping_at_its_current_value_are_the_template_arrays():

@@ -159,12 +159,12 @@ INTEGER_DOC = {
 
 def test_integer_config_dumps_every_model_number_as_a_float():
     # the canonical text: every number a float, except the counts, the
-    # seed, n_ridges and the raw fit.free entries; lambda becomes beta
+    # seed and n_ridges; lambda becomes beta
     expected = json.loads(json.dumps(INTEGER_DOC), parse_int=float)
     expected["version"] = 1
     expected["field_grid"]["count"], expected["freq_grid"]["count"] = 61, 81
     expected["noise"]["seed"] = 3
-    expected["fit"]["n_ridges"], expected["fit"]["free"] = 2, INTEGER_DOC["fit"]["free"]
+    expected["fit"]["n_ridges"] = 2
     del expected["modes"][1]["lambda"]
     expected["modes"][1]["beta"] = 0.0
     text = dump_config(parse_config(json.dumps(INTEGER_DOC)))
