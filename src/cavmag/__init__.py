@@ -50,6 +50,7 @@ from .sweep import (
     SystemTemplate,
     TemplateMagnon,
     ThicknessModel,
+    ThicknessSeries,
     anticrossing_gap,
     compute_branches,
     compute_map,
@@ -76,7 +77,7 @@ __all__ = [
     "NegativeCoupling", "NegativeField", "NegativeFrequency", "NoMinimum",
     "NoiseSpec", "PERMALLOY", "PassivityReport", "RidgeSet", "SingularResponse",
     "SpectrumMap", "SystemTemplate", "TemplateMagnon", "ThicknessModel",
-    "WindowTooNarrow", "YIG", "anticrossing_gap",
+    "ThicknessSeries", "WindowTooNarrow", "YIG", "anticrossing_gap",
     "build_coupling_hamiltonian", "canonical_three_mode", "compute_branches",
     "compute_map", "crossing_field", "crossing_window", "eigenbranches",
     "extract_ridges", "field_for_frequency", "fit_branches", "fit_map",

@@ -182,12 +182,12 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet 
     return FitProblem(template, tuple(free)), ridges
 
 
-def _report_lines(result: FitResult, n_data: int, order: list[str]) -> list[str]:
+def _report_lines(result: FitResult, order: list[str]) -> list[str]:
     lines = [
         f"converged: {'true' if result.converged else 'false'}",
         f"iterations: {result.iterations}",
         f"residual: {format_float(result.residual)}",
-        f"n_data: {n_data}",
+        f"n_data: {result.n_data}",
     ]
     for name in order:
         lines.append(f"parameter: {name} value: {format_float(result.params[name])} "
@@ -201,11 +201,9 @@ def cmd_fit(args) -> int:
     problem, ridges = _resolve_fit_problem(config, data)
     if config.fit.method == "map":
         result = fit_map(data, problem)
-        n_data = 2 * data.values.size
     else:
         result = fit_branches(ridges, problem)
-        n_data = ridges.total()
-    lines = _report_lines(result, n_data, [p.name for p in problem.free])
+    lines = _report_lines(result, [p.name for p in problem.free])
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -215,31 +213,25 @@ def cmd_fit(args) -> int:
 
 def cmd_thickness(args) -> int:
     config = load_config(args.config)
-    t_cfg = config.thickness
-    if t_cfg is None:
+    series = config.thickness
+    if series is None:
         raise ConfigError("config has no 'thickness' block")
-    base = config.template()
-    series = thickness_sweep(base, t_cfg.model, t_cfg.crosslink_slope,
-                             t_cfg.crosslink_intercept, t_cfg.thicknesses,
-                             varied_label=t_cfg.varied, linked_label=t_cfg.linked)
-    resonator = base.resonator.label
+    maps_dir = None if args.maps_dir is None else Path(args.maps_dir)
+    if maps_dir is not None:
+        maps_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for t, template in series:
-        g2 = template.coupling(t_cfg.varied, resonator)
-        gap_p2 = gap_at_crossing(template, t_cfg.varied).gap
-        if t_cfg.linked is not None:
-            g1 = template.coupling(t_cfg.linked, resonator)
-            gap_p1 = gap_at_crossing(template, t_cfg.linked).gap
+    for (t, g2, g1), (_, template) in zip(series.rows, thickness_sweep(series)):
+        gap_p2 = gap_at_crossing(template, series.varied).gap
+        if series.linked is not None:
+            gap_p1 = gap_at_crossing(template, series.linked).gap
         else:
             g1, gap_p1 = 0.0, 0.0
         rows.append((t, g1, g2, gap_p1, gap_p2))
-        if args.maps_dir is not None:
-            directory = Path(args.maps_dir)
-            directory.mkdir(parents=True, exist_ok=True)
+        if maps_dir is not None:
             with _grids_in_memory(config):
                 spectrum = compute_map(template, config.field_grid.to_array(),
                                        config.freq_grid.to_array())
-            write_spectrum_csv(directory / f"map_t{format_float(t)}.csv", spectrum)
+            write_spectrum_csv(maps_dir / f"map_t{format_float(t)}.csv", spectrum)
     write_thickness_csv(args.out, rows)
     if len(rows) >= 2:  # a one-point series cannot support the trend fits
         ts = [r[0] for r in rows]
@@ -248,7 +240,7 @@ def cmd_thickness(args) -> int:
         print(f"g2_of_t: slope: {format_float(fit_t.slope)} "
               f"intercept: {format_float(fit_t.intercept)} "
               f"r_squared: {format_float(fit_t.r_squared)}")
-        if t_cfg.linked is not None:
+        if series.linked is not None:
             g1_est = [r[3] / 2.0 for r in rows]
             fit_link = linear_regression(g2_est, g1_est)
             print(f"g1_of_g2: slope: {format_float(fit_link.slope)} "

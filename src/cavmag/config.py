@@ -7,10 +7,12 @@ lambda (lambda is converted once on load) and exactly one of omega or
 material.  Model rules stay with the model: each number a record owns
 goes to it unchecked (the records check every scalar through
 core._real), parse_config builds the template once, which checks labels
-and couplings, and the fit block's FitProblem, which checks the whole
-box (fitting.ridge_option checks n_ridges and min_separation), all
+and couplings, the fit block's FitProblem, which checks the whole box
+(fitting.ridge_option checks n_ridges and min_separation), and the
+thickness block's ThicknessSeries, which checks the thicknesses, the
+crosslink, the magnon labels and every coupling of the series, all
 surfacing as ConfigError.  _number applies the same rule to the numbers
-no record owns: grid ends, display_scale, the crosslink and thicknesses.
+no record owns: grid ends and display_scale.
 Writing is canonical (sorted keys, two-space indent, trailing newline)
 so a write - read - write cycle is byte-identical.
 """
@@ -26,7 +28,7 @@ from .core import KittelMaterial, ModeSpec, _real, lambda_to_beta
 from .dataio import read_text
 from .errors import ConfigError, DataFormatError, InvalidSystem, NegativeCoupling
 from .fitting import FitProblem, FreeParameter, ridge_option
-from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel
+from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel, ThicknessSeries
 from .synth import NoiseSpec
 
 SCHEMA_VERSION = 1
@@ -69,16 +71,6 @@ class FitConfig:
 
 
 @dataclass(frozen=True)
-class ThicknessConfig:
-    model: ThicknessModel
-    thicknesses: tuple[float, ...]
-    crosslink_slope: float
-    crosslink_intercept: float
-    varied: str
-    linked: str | None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     version: int
     modes: tuple[ModeSpec | TemplateMagnon, ...]  # in file order
@@ -87,7 +79,7 @@ class RunConfig:
     freq_grid: GridSpec
     noise: NoiseSpec | None
     fit: FitConfig | None
-    thickness: ThicknessConfig | None
+    thickness: ThicknessSeries | None
     display_scale: float
 
     def template(self) -> SystemTemplate:
@@ -173,33 +165,22 @@ def _parse_fit(entry: dict, template: SystemTemplate) -> FitConfig:
                      min_separation=options.get("min_separation"))
 
 
-def _parse_thickness(entry: dict, template: SystemTemplate) -> ThicknessConfig:
+def _parse_thickness(entry: dict, template: SystemTemplate) -> ThicknessSeries:
     _expect_keys(entry, "thickness",
                  ("slope", "intercept", "t_min", "t_max", "thicknesses", "crosslink", "varied"),
                  ("linked",))
-    model = ThicknessModel(slope=entry["slope"], intercept=entry["intercept"],
-                           t_min=entry["t_min"], t_max=entry["t_max"])
     raw_t = entry["thicknesses"]
     if not isinstance(raw_t, list) or not raw_t:
         raise ConfigError("thickness: 'thicknesses' must be a nonempty list")
-    thicknesses = [_real(value, "thickness: thickness value") for value in raw_t]
     crosslink = entry["crosslink"]
     _expect_keys(crosslink, "thickness.crosslink", ("slope", "intercept"))
-    varied = entry["varied"]
-    linked = entry.get("linked")
     try:
-        for name in (varied, linked) if linked is not None else (varied,):
-            template.magnon(name)
-    except InvalidSystem as exc:
+        model = ThicknessModel(slope=entry["slope"], intercept=entry["intercept"],
+                               t_min=entry["t_min"], t_max=entry["t_max"])
+        return ThicknessSeries(template, model, tuple(raw_t), crosslink["slope"],
+                               crosslink["intercept"], entry["varied"], entry.get("linked"))
+    except (InvalidSystem, NegativeCoupling) as exc:
         raise ConfigError(f"thickness: {exc}") from None
-    return ThicknessConfig(
-        model=model,
-        thicknesses=tuple(thicknesses),
-        crosslink_slope=_number(crosslink, "thickness.crosslink", "slope"),
-        crosslink_intercept=_number(crosslink, "thickness.crosslink", "intercept"),
-        varied=varied,
-        linked=linked,
-    )
 
 
 def parse_config(document: str) -> RunConfig:
@@ -247,7 +228,7 @@ def parse_config(document: str) -> RunConfig:
                            field_grid=_parse_grid(raw["field_grid"], "field_grid"),
                            freq_grid=_parse_grid(raw["freq_grid"], "freq_grid"),
                            noise=noise, fit=fit, thickness=thickness, display_scale=display_scale)
-    except (InvalidSystem, NegativeCoupling) as exc:
+    except InvalidSystem as exc:
         raise ConfigError(str(exc)) from None
     return config
 

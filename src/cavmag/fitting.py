@@ -261,7 +261,7 @@ class FitResult:
     at params.  It is NaN for a parameter on a bound, for every
     parameter when J^T J over the others is singular (not positive
     definite), and when the residual is not finite or no degree of
-    freedom is left.
+    freedom is left.  n_data counts the real residuals.
     """
 
     params: dict[str, float]
@@ -270,6 +270,7 @@ class FitResult:
     converged: bool
     stderr: dict[str, float]
     history: tuple[float, ...]
+    n_data: int
 
 
 # ── Box-constrained Levenberg-Marquardt ────────────────────────────────
@@ -439,7 +440,8 @@ def _optimize(evaluate, problem: FitProblem, n_data: int) -> FitResult:
     stderr[root] *= 2.0 * x[root]
     return FitResult(params=dict(zip(names, values(x).tolist())), residual=f,
                      iterations=iterations, converged=converged,
-                     stderr=dict(zip(names, stderr.tolist())), history=tuple(history))
+                     stderr=dict(zip(names, stderr.tolist())), history=tuple(history),
+                     n_data=n_data)
 
 
 def fit_branches(ridges: RidgeSet, problem: FitProblem) -> FitResult:

@@ -30,6 +30,7 @@ from .core import (
     _kernel_work,
     _kittel,
     _model_table,
+    _real,
     _real_fields,
     _transmission,
     field_for_frequency,
@@ -207,6 +208,55 @@ class ThicknessModel:
 
     def evaluate(self, t: float) -> float:
         return self.slope * t + self.intercept
+
+
+@dataclass(frozen=True)
+class ThicknessSeries:
+    """A film-thickness series, checked once, on construction.
+
+    At each thickness t the varied magnon's resonator coupling is
+    g2 = model.evaluate(t), and the linked magnon's is the crosslink
+    g1 = crosslink_slope * g2 + crosslink_intercept.  rows holds
+    (t, g2, g1); with no linked magnon g1 is None and the crosslink is
+    ignored.  varied and linked must name two different magnons, each t
+    lie in the model's range and each g pass the template's coupling
+    check, with g1 >= 0.
+    """
+
+    template: SystemTemplate
+    model: ThicknessModel
+    thicknesses: tuple[float, ...]
+    crosslink_slope: float
+    crosslink_intercept: float
+    varied: str
+    linked: str | None = None
+    rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "thicknesses",
+                           tuple(_real(t, "thickness value") for t in self.thicknesses))
+        template, model = self.template, self.model
+        for label in (self.varied, self.linked) if self.linked is not None else (self.varied,):
+            template.magnon(label)
+        _real_fields(self, ("crosslink_slope", "crosslink_intercept"), "")
+        if self.linked == self.varied:
+            raise InvalidSystem("varied and linked magnon must differ")
+        res = template.resonator.label
+        rows = []
+        for t in self.thicknesses:
+            if not model.t_min <= t <= model.t_max:
+                raise InvalidSystem(
+                    f"thickness {t} outside model range [{model.t_min}, {model.t_max}]")
+            g2 = model.evaluate(t)
+            template._check_coupling(tuple(sorted((self.varied, res))), g2)
+            g1 = None
+            if self.linked is not None:
+                g1 = self.crosslink_slope * g2 + self.crosslink_intercept
+                if g1 < 0.0:
+                    raise NegativeCoupling(f"crosslink gives g={g1} at t={t}")
+                template._check_coupling(tuple(sorted((self.linked, res))), g1)
+            rows.append((t, g2, g1))
+        object.__setattr__(self, "rows", tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -440,42 +490,13 @@ def gap_at_crossing(template: SystemTemplate, label: str) -> AnticrossingReport:
     return anticrossing_gap(curves, (float(fields[0]), float(fields[-1])))
 
 
-def thickness_sweep(
-    base: SystemTemplate,
-    yig_coupling: ThicknessModel,
-    crosslink_slope: float,
-    crosslink_intercept: float,
-    thicknesses,
-    varied_label: str,
-    linked_label: str | None = None,
-) -> list[tuple[float, SystemTemplate]]:
-    """Templates for a film-thickness series.
-
-    The varied magnon's resonator coupling follows the thickness law
-    g2 = yig_coupling.evaluate(t); the linked magnon's coupling follows
-    the crosslink g1 = crosslink_slope * g2 + crosslink_intercept.  With
-    no linked magnon (linked_label None) the crosslink is ignored and
-    every other coupling keeps its template value.
-    """
-    base.magnon(varied_label)  # existence check
-    if linked_label is not None:
-        base.magnon(linked_label)
-        if linked_label == varied_label:
-            raise InvalidSystem("varied and linked magnon must differ")
-    res = base.resonator.label
-    out: list[tuple[float, SystemTemplate]] = []
-    for t in thicknesses:
-        t = float(t)
-        if not (yig_coupling.t_min <= t <= yig_coupling.t_max):
-            raise InvalidSystem(
-                f"thickness {t} outside model range [{yig_coupling.t_min}, {yig_coupling.t_max}]"
-            )
-        g2 = yig_coupling.evaluate(t)
-        template = base.with_coupling(varied_label, res, g2)
-        if linked_label is not None:
-            g1 = crosslink_slope * g2 + crosslink_intercept
-            if g1 < 0.0:
-                raise NegativeCoupling(f"crosslink gives g={g1} at t={t}")
-            template = template.with_coupling(linked_label, res, g1)
+def thickness_sweep(series: ThicknessSeries) -> list[tuple[float, SystemTemplate]]:
+    """(t, template) per row of series.rows, the template holding its g2 and g1."""
+    res = series.template.resonator.label
+    out = []
+    for t, g2, g1 in series.rows:
+        template = series.template.with_coupling(series.varied, res, g2)
+        if g1 is not None:
+            template = template.with_coupling(series.linked, res, g1)
         out.append((t, template))
     return out

@@ -36,6 +36,7 @@ from cavmag.sweep import (
     SystemTemplate,
     TemplateMagnon,
     ThicknessModel,
+    ThicknessSeries,
     anticrossing_gap,
     compute_branches,
     compute_map,
@@ -186,8 +187,7 @@ def test_criterion_5_thickness_pipeline():
     )
     model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
     thicknesses = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
-    series = thickness_sweep(base, model, 0.5, 0.1, thicknesses,
-                             varied_label="yig", linked_label="py")
+    series = thickness_sweep(ThicknessSeries(base, model, thicknesses, 0.5, 0.1, "yig", "py"))
     fields = np.concatenate([np.linspace(700.0, 1300.0, 41),
                              np.linspace(5450.0, 6310.0, 41)])
     freqs = np.linspace(27.2, 31.2, 2001)

@@ -551,6 +551,30 @@ def test_thickness_without_thickness_block_exits_2(tmp_path, small_config, capsy
     assert capsys.readouterr().err == "config error: config has no 'thickness' block\n"
 
 
+@pytest.mark.parametrize("edit, text", [
+    ({"thicknesses": [5.0, 200.0]}, "thickness 200.0 outside model range [5.0, 100.0]"),
+    ({"linked": "yig"}, "varied and linked magnon must differ"),
+    ({"crosslink": {"slope": -10.0, "intercept": 0.1}}, "crosslink gives g=-1.0 at t=5.0"),
+    ({"slope": 1e307}, "coupling ('cpw', 'yig') must be a finite real, got inf"),  # g2(100) = inf
+])
+@pytest.mark.parametrize("command", ["kittel", "map", "branches", "synth", "fit", "thickness"])
+def test_a_bad_thickness_block_exits_2_on_load_for_every_subcommand(tmp_path, capsys, command,
+                                                                    edit, text):
+    doc = json.loads((CONFIG_DIR / "thickness.config").read_text(encoding="utf-8"))
+    doc["thickness"].update(edit)
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    files = ["--out", str(tmp_path / "out.csv")]
+    if command == "fit":
+        files += ["--data", str(tmp_path / "missing.csv")]
+    elif command == "thickness":
+        files += ["--maps-dir", str(tmp_path / "maps")]
+    assert main([command, "--config", str(config)] + files) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: thickness: {text}\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_thickness_single_row_and_maps_dir(tmp_path, capsys):
     doc = small_doc(thickness={
         "slope": 0.002, "intercept": 0.1, "t_min": 5.0, "t_max": 100.0,

@@ -300,7 +300,9 @@ def test_rejects_bad_thickness_block():
     expect_rejection(doc, "nonempty")
     doc = minimal_doc()
     doc["thickness"] = dict(block, slope=-0.01)  # law dips below zero
-    expect_rejection(doc, "below zero")
+    expect_rejection(doc, "thickness: coupling law -0.01 * t + 0.1 dips below zero at t=100.0")
+    doc["thickness"] = dict(block, crosslink={"slope": "steep", "intercept": 0.1})
+    expect_rejection(doc, "thickness: crosslink_slope must be a finite real, got 'steep'")
 
 
 def test_rejects_bad_display_scale():

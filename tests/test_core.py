@@ -67,6 +67,12 @@ def test_system_normalizes_coupling_orientation():
     assert system.g(0, 0) == 0.0
 
 
+def test_system_needs_a_mode():
+    for modes in ((), []):
+        with pytest.raises(InvalidSystem, match="^a hybrid system needs at least one mode$"):
+            HybridSystem(modes)
+
+
 def test_system_rejects_bad_couplings():
     a = ModeSpec("a", 29.0, 0.01, 0.02)
     b = ModeSpec("b", 29.4, 0.01, 0.02)

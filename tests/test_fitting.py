@@ -219,6 +219,7 @@ def test_fit_map_recovers_coupling_from_clean_data():
     result = fit_map(data, problem)
     assert result.converged
     assert abs(result.params["g:cpw:yig"] - 0.25) / 0.25 < 1e-6
+    assert result.n_data == 2 * 31 * 41  # real and imaginary parts
     # accepted-best history never increases
     assert all(b <= a for a, b in zip(result.history, result.history[1:]))
 
@@ -259,6 +260,7 @@ def test_fit_branches_recovers_coupling_from_ridges():
     assert result.converged
     assert abs(result.params["g:cpw:yig"] - 0.25) / 0.25 < 5e-3
     assert math.isfinite(result.stderr["g:cpw:yig"])
+    assert result.n_data == ridges.total()
 
 
 def test_fit_branches_needs_enough_ridge_points():
@@ -276,9 +278,7 @@ def test_fitted_maps_recover_the_thickness_crosslink(sigma, tolerance):
     # then regress g1 on g2.  tolerance bounds the relative error of the
     # slope and of the intercept.
     config = load_config(Path(__file__).resolve().parent.parent / "configs" / "thickness.config")
-    spec = config.thickness
-    series = thickness_sweep(config.template(), spec.model, spec.crosslink_slope,
-                             spec.crosslink_intercept, spec.thicknesses, spec.varied, spec.linked)
+    series = thickness_sweep(config.thickness)
     g1, g2 = [], []
     for t, template in series:
         h_py, h_yig = crossing_field(template, "py"), crossing_field(template, "yig")

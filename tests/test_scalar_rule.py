@@ -26,6 +26,7 @@ from cavmag.sweep import (
     SystemTemplate,
     TemplateMagnon,
     ThicknessModel,
+    ThicknessSeries,
     compute_branches,
     compute_map,
 )
@@ -33,7 +34,15 @@ from cavmag.synth import NoiseSpec
 
 CPW = ModeSpec("cpw", 29.2, 0.01, 0.02)
 YIG_MODE = ModeSpec("yig", 29.0, 0.005, 0.004)
+TEMPLATE = SystemTemplate(CPW, (TemplateMagnon("yig", 0.005, 0.004, YIG),), {("cpw", "yig"): 0.25})
 SPECTRUM = SpectrumMap(np.array([1.0]), np.array([1.0, 2.0, 3.0]), np.zeros((1, 3), complex))
+
+
+def series(thickness=10, slope=1, intercept=0):
+    """A one-thickness series of TEMPLATE, its numbers as given."""
+    return ThicknessSeries(TEMPLATE, ThicknessModel(0.002, 0.1, 5.0, 100.0), (thickness,), slope,
+                           intercept, "yig")
+
 
 # each builds one record or calls one entry point with v in a single scalar slot
 ENTRY_POINTS = {
@@ -48,6 +57,9 @@ ENTRY_POINTS = {
     "ThicknessModel.intercept": lambda v: ThicknessModel(0.002, v, 5.0, 100.0),
     "ThicknessModel.t_min": lambda v: ThicknessModel(0.002, 0.1, v, 100.0),
     "ThicknessModel.t_max": lambda v: ThicknessModel(0.002, 0.1, 5.0, v),
+    "ThicknessSeries.thicknesses": lambda v: series(thickness=v),
+    "ThicknessSeries.crosslink_slope": lambda v: series(slope=v),
+    "ThicknessSeries.crosslink_intercept": lambda v: series(intercept=v),
     "FreeParameter.lower": lambda v: FreeParameter("g:cpw:yig", v, 0.5, 0.2),
     "FreeParameter.upper": lambda v: FreeParameter("g:cpw:yig", 0.1, v, 0.2),
     "FreeParameter.initial": lambda v: FreeParameter("g:cpw:yig", 0.1, 0.5, v),
@@ -69,7 +81,6 @@ def test_every_scalar_rejects_what_is_not_a_finite_real(entry, value):
         ENTRY_POINTS[entry](value)
 
 
-TEMPLATE = SystemTemplate(CPW, (TemplateMagnon("yig", 0.005, 0.004, YIG),), {("cpw", "yig"): 0.25})
 HUGE = 10**400  # an int past the float range
 
 # array entry points: each converts its fields or frequencies once
@@ -108,6 +119,7 @@ def test_records_store_int_fields_as_floats():
         (KittelMaterial(1, 1750), ("gamma", "four_pi_m")),
         (TemplateMagnon("yig", 0, 1, YIG), ("alpha", "beta")),
         (ThicknessModel(0, 1, 5, 100), ("slope", "intercept", "t_min", "t_max")),
+        (series(), ("crosslink_slope", "crosslink_intercept")),
         (FreeParameter("g:cpw:yig", 0, 1, 1), ("lower", "upper", "initial")),
         (NoiseSpec(0, 3), ("sigma",)),
     ]
@@ -116,6 +128,7 @@ def test_records_store_int_fields_as_floats():
             value = getattr(record, name)
             assert type(value) is float and value == int(value), (record, name)
     assert ModeSpec("a", 1, 0, 0).omega == 1.0
+    assert [type(v) for v in series().thicknesses + series().rows[0][:2]] == [float] * 3
     system = HybridSystem((CPW, YIG_MODE), {(1, 0): 1})
     assert type(system.couplings[(0, 1)]) is float
     assert type(lambda_to_beta(1)) is float

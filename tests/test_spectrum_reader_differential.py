@@ -351,3 +351,22 @@ def test_tokens_nearest_a_midpoint_read_as_float_reads_them(tmp_path, monkeypatc
     # float() read each field's first h_oe and the first field's omega texts
     assert sum(converted) - n_fields - n_freqs == (0 if off is None else len(tokens))
     assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+
+
+@pytest.mark.parametrize("rows, line, error", [
+    # a 2 x 2 grid, then a last line cut short and not terminated: the
+    # grid before it must not be read as the map
+    (["1000,27,0.1,0.2", "1000,28,0.3,0.4", "1100,27,0.5,0.6", "1100,28,0.7,0.8", "1200,27"],
+     6, "line 6: expected 4 columns, got 2"),
+    # a 25-byte omega and its own last 24 bytes: a token longer than the
+    # 24-byte text key must match no other token
+    (["1000,12.0000000000000000000001,0.1,0.2", "1000,13,0.3,0.4",
+      "1100,2.0000000000000000000001,0.5,0.6", "1100,13,0.7,0.8\n"],
+     5, "line 5: incomplete grid: missing row for h_oe=1000, omega=2"),
+], ids=["unterminated_last_line", "long_token_key"])
+def test_malformed_files_are_refused_like_the_line_parser_refuses_them(tmp_path, rows, line,
+                                                                        error):
+    path = tmp_path / "map.csv"
+    path.write_text("\n".join([SPECTRUM_HEADER, *rows]), encoding="ascii")
+    assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path) == (
+        "error", error, line)

@@ -40,6 +40,7 @@ from cavmag.sweep import (
     SystemTemplate,
     TemplateMagnon,
     ThicknessModel,
+    ThicknessSeries,
     anticrossing_gap,
     compute_branches,
     compute_map,
@@ -567,13 +568,17 @@ def test_thickness_model_validation():
         ThicknessModel(slope=-0.01, intercept=0.1, t_min=5.0, t_max=100.0)
 
 
+LAW = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
+
+
 def test_thickness_sweep_applies_both_laws():
     base = two_magnon_template()
-    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    series = thickness_sweep(base, model, 0.5, 0.1, (5.0, 40.0, 100.0),
-                             varied_label="yig", linked_label="py")
-    assert [t for t, _ in series] == [5.0, 40.0, 100.0]
-    for t, template in series:
+    series = ThicknessSeries(base, LAW, (5.0, 40.0, 100.0), 0.5, 0.1, "yig", "py")
+    assert series.rows == tuple((t, 0.002 * t + 0.1, 0.5 * (0.002 * t + 0.1) + 0.1)
+                                for t in (5.0, 40.0, 100.0))
+    templates = thickness_sweep(series)
+    assert [t for t, _ in templates] == [5.0, 40.0, 100.0]
+    for t, template in templates:
         g2 = 0.002 * t + 0.1
         assert template.coupling("yig", "cpw") == g2
         assert template.coupling("py", "cpw") == 0.5 * g2 + 0.1
@@ -584,21 +589,31 @@ def test_thickness_sweep_applies_both_laws():
 def test_thickness_sweep_links_only_the_named_magnon():
     # without a linked label the other magnon keeps its template coupling
     base = two_magnon_template()
-    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    (t, template), = thickness_sweep(base, model, 0.5, 0.1, (5.0,), varied_label="yig")
+    series = ThicknessSeries(base, LAW, (5.0,), 0.5, 0.1, "yig")
+    assert series.rows == ((5.0, 0.002 * 5.0 + 0.1, None),)
+    (t, template), = thickness_sweep(series)
     assert template.coupling("yig", "cpw") == 0.002 * 5.0 + 0.1
     assert template.coupling("py", "cpw") == base.coupling("py", "cpw")
 
 
-def test_thickness_sweep_validation():
-    base = two_magnon_template()
-    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    with pytest.raises(InvalidSystem, match="outside model range"):
-        thickness_sweep(base, model, 0.5, 0.1, (200.0,), varied_label="yig")
-    with pytest.raises(NegativeCoupling, match="crosslink"):
-        thickness_sweep(base, model, -10.0, 0.0, (50.0,), varied_label="yig", linked_label="py")
-    with pytest.raises(InvalidSystem, match="differ"):
-        thickness_sweep(base, model, 0.5, 0.1, (50.0,), varied_label="yig", linked_label="yig")
+@pytest.mark.parametrize("model, thicknesses, crosslink, linked, error, text", [
+    (LAW, (200.0,), (0.5, 0.1), None, InvalidSystem,
+     r"^thickness 200.0 outside model range \[5.0, 100.0\]$"),
+    (LAW, (50.0,), (-10.0, 0.0), "py", NegativeCoupling, r"^crosslink gives g=-2.0 at t=50.0$"),
+    (LAW, (50.0,), (0.5, 0.1), "yig", InvalidSystem, r"^varied and linked magnon must differ$"),
+    (LAW, (50.0,), (0.5, 0.1), "nope", InvalidSystem, r"^no magnon labelled 'nope'$"),
+    (LAW, (50.0, "thick"), (0.5, 0.1), "py", InvalidSystem,
+     r"^thickness value must be a finite real, got 'thick'$"),
+    (LAW, (50.0,), (math.nan, 0.1), "py", InvalidSystem,
+     r"^crosslink_slope must be a finite real, got nan$"),
+    (ThicknessModel(1e307, 0.1, 5.0, 100.0), (5.0, 100.0), (0.5, 0.1), "py", InvalidSystem,
+     r"^coupling \('cpw', 'yig'\) must be a finite real, got inf$"),
+    (LAW, (100.0,), (1.7e308, 1.7e308), "py", InvalidSystem,
+     r"^coupling \('cpw', 'py'\) must be a finite real, got inf$"),
+])
+def test_thickness_series_validation(model, thicknesses, crosslink, linked, error, text):
+    with pytest.raises(error, match=text):
+        ThicknessSeries(two_magnon_template(), model, thicknesses, *crosslink, "yig", linked)
 
 
 def test_thickness_sweep_single_magnon():
@@ -607,9 +622,7 @@ def test_thickness_sweep_single_magnon():
         magnons=(TemplateMagnon("yig", 0.005, 0.004, YIG),),
         couplings={("cpw", "yig"): 0.2},
     )
-    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    series = thickness_sweep(base, model, 0.5, 0.1, (20.0,), varied_label="yig")
-    (t, template), = series
+    (t, template), = thickness_sweep(ThicknessSeries(base, LAW, (20.0,), 0.5, 0.1, "yig"))
     assert template.coupling("yig", "cpw") == 0.002 * 20.0 + 0.1
 
 

@@ -3,9 +3,9 @@
 Each checkout's own code generates the benchmark inputs
 (``perfbench/gen_inputs.py``) for each ``--seeds`` seed, and then runs
 ``kittel``, ``map --heatmap``, ``synth --heatmap``, ``branches``, ``fit``
-and ``thickness`` on every shipped config and every generated config,
-each job a fresh ``python -m cavmag`` process in a temporary directory of
-its own.  ``fit`` reads the generated data file where the benchmark does,
+and ``thickness --maps-dir`` on every shipped config and every generated
+config, each job a fresh ``python -m cavmag`` process in a temporary
+directory of its own.  ``fit`` reads the generated data file where the benchmark does,
 and otherwise the map the same config's ``synth`` job wrote.  The two
 sides run job by job, and each job compares exit codes, stdout, stderr
 (with the checkout and work paths replaced by ``{root}`` and ``{work}``)
@@ -36,7 +36,8 @@ CASE_JOBS = (  # {config} and {data} are filled in per case
     ("synth", ["synth", "--config", "{config}", "--out", "synth.csv", "--heatmap"]),
     ("branches", ["branches", "--config", "{config}", "--out", "branches.csv"]),
     ("fit", ["fit", "--config", "{config}", "--data", "{data}", "--out", "fit.txt"]),
-    ("thickness", ["thickness", "--config", "{config}", "--out", "thickness.csv"]),
+    ("thickness", ["thickness", "--config", "{config}", "--out", "thickness.csv",
+                   "--maps-dir", "maps"]),
 )
 
 
