@@ -49,7 +49,6 @@ from .sweep import (
     SpectrumMap,
     SystemTemplate,
     TemplateMagnon,
-    ThicknessModel,
     ThicknessSeries,
     anticrossing_gap,
     compute_branches,
@@ -76,8 +75,8 @@ __all__ = [
     "InvalidSystem", "KittelMaterial", "LinearFit", "ModeSpec",
     "NegativeCoupling", "NegativeField", "NegativeFrequency", "NoMinimum",
     "NoiseSpec", "PERMALLOY", "PassivityReport", "RidgeSet", "SingularResponse",
-    "SpectrumMap", "SystemTemplate", "TemplateMagnon", "ThicknessModel",
-    "ThicknessSeries", "WindowTooNarrow", "YIG", "anticrossing_gap",
+    "SpectrumMap", "SystemTemplate", "TemplateMagnon", "ThicknessSeries",
+    "WindowTooNarrow", "YIG", "anticrossing_gap",
     "build_coupling_hamiltonian", "canonical_three_mode", "compute_branches",
     "compute_map", "crossing_field", "crossing_window", "eigenbranches",
     "extract_ridges", "field_for_frequency", "fit_branches", "fit_map",

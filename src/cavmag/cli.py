@@ -117,6 +117,10 @@ def cmd_kittel(args) -> int:
         for label, material in materials.items():
             for h in fields:
                 rows.append((label, float(h), kittel_frequency(material, float(h), label)))
+    for label, h, omega in rows:  # every scaled frequency is checked before any is printed
+        if not np.isfinite(omega * scale):
+            raise ConfigError(f"display scale {format_float(scale)} overflows the frequency "
+                              f"of {label!r} at h={format_float(h)}")
     print("label h_oe omega")
     for label, h, omega in rows:
         print(f"{label} {format_float(h)} {format_float(omega * scale)}")

@@ -7,12 +7,14 @@ lambda (lambda is converted once on load) and exactly one of omega or
 material.  Model rules stay with the model: each number a record owns
 goes to it unchecked (the records check every scalar through
 core._real), parse_config builds the template once, which checks labels
-and couplings, the fit block's FitProblem, which checks the whole box
-(fitting.ridge_option checks n_ridges and min_separation), and the
-thickness block's ThicknessSeries, which checks the thicknesses, the
+and couplings and which RunConfig keeps for template() to return, the fit
+block's FitProblem, which checks the whole box (fitting.ridge_option
+checks n_ridges and min_separation), and the thickness block's
+ThicknessSeries, which checks the thickness law, the thicknesses, the
 crosslink, the magnon labels and every coupling of the series, all
-surfacing as ConfigError.  _number applies the same rule to the numbers
-no record owns: grid ends and display_scale.
+surfacing as ConfigError.  Both blocks hold that same template.  _number
+applies the same rule to the numbers no record owns: grid ends and
+display_scale.
 Writing is canonical (sorted keys, two-space indent, trailing newline)
 so a write - read - write cycle is byte-identical.
 """
@@ -20,7 +22,7 @@ so a write - read - write cycle is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .core import KittelMaterial, ModeSpec, _real, lambda_to_beta
 from .dataio import read_text
 from .errors import ConfigError, DataFormatError, InvalidSystem, NegativeCoupling
 from .fitting import FitProblem, FreeParameter, ridge_option
-from .sweep import SystemTemplate, TemplateMagnon, ThicknessModel, ThicknessSeries
+from .sweep import SystemTemplate, TemplateMagnon, ThicknessSeries
 from .synth import NoiseSpec
 
 SCHEMA_VERSION = 1
@@ -81,19 +83,13 @@ class RunConfig:
     fit: FitConfig | None
     thickness: ThicknessSeries | None
     display_scale: float
+    model: SystemTemplate = field(repr=False, compare=False)  # built once, by parse_config
 
     def template(self) -> SystemTemplate:
-        return _template(self.modes, self.couplings)
+        return self.model
 
     def material_modes(self) -> dict[str, KittelMaterial]:
-        return {m.label: m.material for m in self.modes if isinstance(m, TemplateMagnon)}
-
-
-def _template(modes, couplings) -> SystemTemplate:
-    """Sweepable template: the resonator (the one ModeSpec), the rest magnons."""
-    resonator = next(m for m in modes if isinstance(m, ModeSpec))
-    magnons = tuple(m for m in modes if isinstance(m, TemplateMagnon))
-    return SystemTemplate(resonator, magnons, [((a, b), g) for a, b, g in couplings])
+        return {m.label: m.material for m in self.model.magnons}
 
 
 # ── Parsing ────────────────────────────────────────────────────────────
@@ -175,9 +171,8 @@ def _parse_thickness(entry: dict, template: SystemTemplate) -> ThicknessSeries:
     crosslink = entry["crosslink"]
     _expect_keys(crosslink, "thickness.crosslink", ("slope", "intercept"))
     try:
-        model = ThicknessModel(slope=entry["slope"], intercept=entry["intercept"],
-                               t_min=entry["t_min"], t_max=entry["t_max"])
-        return ThicknessSeries(template, model, tuple(raw_t), crosslink["slope"],
+        return ThicknessSeries(template, entry["slope"], entry["intercept"], entry["t_min"],
+                               entry["t_max"], tuple(raw_t), crosslink["slope"],
                                crosslink["intercept"], entry["varied"], entry.get("linked"))
     except (InvalidSystem, NegativeCoupling) as exc:
         raise ConfigError(f"thickness: {exc}") from None
@@ -213,7 +208,8 @@ def parse_config(document: str) -> RunConfig:
                     or any(not isinstance(x, str) for x in pair)):
                 raise ConfigError(f"couplings[{k}]: 'pair' must be two mode labels")
             couplings.append((pair[0], pair[1], item["g"]))
-        template = _template(modes, couplings)
+        magnons = tuple(m for m in modes if isinstance(m, TemplateMagnon))
+        template = SystemTemplate(fixed[0], magnons, [((a, b), g) for a, b, g in couplings])
         couplings = [(a, b, template.coupling(a, b)) for a, b, _ in couplings]  # g as a float
         noise = None
         if "noise" in raw:
@@ -227,7 +223,8 @@ def parse_config(document: str) -> RunConfig:
         config = RunConfig(version=version, modes=modes, couplings=tuple(couplings),
                            field_grid=_parse_grid(raw["field_grid"], "field_grid"),
                            freq_grid=_parse_grid(raw["freq_grid"], "freq_grid"),
-                           noise=noise, fit=fit, thickness=thickness, display_scale=display_scale)
+                           noise=noise, fit=fit, thickness=thickness, display_scale=display_scale,
+                           model=template)
     except InvalidSystem as exc:
         raise ConfigError(str(exc)) from None
     return config
@@ -263,8 +260,8 @@ def config_to_dict(config: RunConfig) -> dict:
         out["fit"] = {k: v for k, v in block.items() if v is not None}
     if config.thickness is not None:
         t = config.thickness
-        block = {**asdict(t.model), "thicknesses": list(t.thicknesses), "varied": t.varied,
-                 "linked": t.linked,
+        block = {"slope": t.slope, "intercept": t.intercept, "t_min": t.t_min, "t_max": t.t_max,
+                 "thicknesses": list(t.thicknesses), "varied": t.varied, "linked": t.linked,
                  "crosslink": {"slope": t.crosslink_slope, "intercept": t.crosslink_intercept}}
         out["thickness"] = {k: v for k, v in block.items() if v is not None}  # linked is optional
     return out

@@ -8,7 +8,8 @@ table of arrays (SystemTemplate.arrays), from which sweeps and fits build
 their field-stacked coupling matrices (_stack) with no per-field system
 objects.  Sweeping the field yields transmission maps (field x frequency
 grids of s21) and branch curves (sorted complex eigenvalues per field),
-from which anticrossing gaps are measured.
+from which anticrossing gaps are measured.  A ThicknessSeries checks a
+thickness law and its couplings once; each row is one template.
 """
 
 from __future__ import annotations
@@ -123,8 +124,10 @@ class SystemTemplate:
                 return m
         raise InvalidSystem(f"no magnon labelled {label!r}")
 
-    def with_coupling(self, a: str, b: str, g: float) -> "SystemTemplate":
-        return replace(self, couplings={**self.couplings, (min(a, b), max(a, b)): g})
+    def with_couplings(self, couplings: dict[tuple[str, str], float]) -> "SystemTemplate":
+        """This template with each (a, b): g of couplings set: one validation."""
+        new = {(min(a, b), max(a, b)): g for (a, b), g in couplings.items()}
+        return replace(self, couplings={**self.couplings, **new})
 
 
 def _check_axis(name: str, values) -> np.ndarray:
@@ -184,47 +187,24 @@ class BranchCurves:
 
 
 @dataclass(frozen=True)
-class ThicknessModel:
-    """Linear film-thickness law for a coupling constant.
+class ThicknessSeries:
+    """A film-thickness series, checked once, on construction.
 
-    g(t) = slope * t + intercept on t in [t_min, t_max] (micrometers);
-    the law must stay nonnegative over the whole range.
+    The law g2(t) = slope * t + intercept holds on t in [t_min, t_max]
+    (micrometers) and must stay nonnegative over the whole range.  At
+    each thickness t the varied magnon's resonator coupling is g2(t), and
+    the linked magnon's is the crosslink g1 = crosslink_slope * g2 +
+    crosslink_intercept.  rows holds (t, g2, g1); with no linked magnon
+    g1 is None and the crosslink is ignored.  varied and linked must name
+    two different magnons, each t lie in the law's range and each g pass
+    the template's coupling check, with g1 >= 0.
     """
 
+    template: SystemTemplate
     slope: float
     intercept: float
     t_min: float
     t_max: float
-
-    def __post_init__(self):
-        _real_fields(self, ("slope", "intercept", "t_min", "t_max"), "thickness model ")
-        if not self.t_min < self.t_max:
-            raise InvalidSystem(f"thickness range is empty: [{self.t_min}, {self.t_max}]")
-        for t in (self.t_min, self.t_max):
-            if self.evaluate(t) < 0.0:
-                raise NegativeCoupling(
-                    f"coupling law {self.slope} * t + {self.intercept} dips below zero at t={t}"
-                )
-
-    def evaluate(self, t: float) -> float:
-        return self.slope * t + self.intercept
-
-
-@dataclass(frozen=True)
-class ThicknessSeries:
-    """A film-thickness series, checked once, on construction.
-
-    At each thickness t the varied magnon's resonator coupling is
-    g2 = model.evaluate(t), and the linked magnon's is the crosslink
-    g1 = crosslink_slope * g2 + crosslink_intercept.  rows holds
-    (t, g2, g1); with no linked magnon g1 is None and the crosslink is
-    ignored.  varied and linked must name two different magnons, each t
-    lie in the model's range and each g pass the template's coupling
-    check, with g1 >= 0.
-    """
-
-    template: SystemTemplate
-    model: ThicknessModel
     thicknesses: tuple[float, ...]
     crosslink_slope: float
     crosslink_intercept: float
@@ -233,9 +213,17 @@ class ThicknessSeries:
     rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _real_fields(self, ("slope", "intercept", "t_min", "t_max"), "thickness model ")
+        if not self.t_min < self.t_max:
+            raise InvalidSystem(f"thickness range is empty: [{self.t_min}, {self.t_max}]")
+        for t in (self.t_min, self.t_max):
+            if self.slope * t + self.intercept < 0.0:
+                raise NegativeCoupling(
+                    f"coupling law {self.slope} * t + {self.intercept} dips below zero at t={t}"
+                )
         object.__setattr__(self, "thicknesses",
                            tuple(_real(t, "thickness value") for t in self.thicknesses))
-        template, model = self.template, self.model
+        template = self.template
         for label in (self.varied, self.linked) if self.linked is not None else (self.varied,):
             template.magnon(label)
         _real_fields(self, ("crosslink_slope", "crosslink_intercept"), "")
@@ -244,10 +232,10 @@ class ThicknessSeries:
         res = template.resonator.label
         rows = []
         for t in self.thicknesses:
-            if not model.t_min <= t <= model.t_max:
+            if not self.t_min <= t <= self.t_max:
                 raise InvalidSystem(
-                    f"thickness {t} outside model range [{model.t_min}, {model.t_max}]")
-            g2 = model.evaluate(t)
+                    f"thickness {t} outside model range [{self.t_min}, {self.t_max}]")
+            g2 = self.slope * t + self.intercept
             template._check_coupling(tuple(sorted((self.varied, res))), g2)
             g1 = None
             if self.linked is not None:
@@ -491,12 +479,12 @@ def gap_at_crossing(template: SystemTemplate, label: str) -> AnticrossingReport:
 
 
 def thickness_sweep(series: ThicknessSeries) -> list[tuple[float, SystemTemplate]]:
-    """(t, template) per row of series.rows, the template holding its g2 and g1."""
+    """(t, template) per row of series.rows: one with_couplings sets its g2 and g1."""
     res = series.template.resonator.label
     out = []
     for t, g2, g1 in series.rows:
-        template = series.template.with_coupling(series.varied, res, g2)
+        couplings = {(series.varied, res): g2}
         if g1 is not None:
-            template = template.with_coupling(series.linked, res, g1)
-        out.append((t, template))
+            couplings[(series.linked, res)] = g1
+        out.append((t, series.template.with_couplings(couplings)))
     return out

@@ -10,8 +10,9 @@ Synthetic maps add seeded i.i.d. complex Gaussian noise from numpy's
 counter-based Philox generator (Philox4x32-10): one standard-normal
 block of shape (n_fields, n_freqs, 2) is drawn in row-major order, the
 last axis holding the real and imaginary components.  A given seed and
-grid shape therefore reproduces the same map bit for bit, regardless of
-how the noise-free part was scheduled.
+grid shape therefore reproduces the same map bit for bit on one host,
+regardless of how the noise-free part was scheduled; numpy's SIMD level
+changes the last bits of the noise-free part (and so of the map).
 """
 
 from __future__ import annotations

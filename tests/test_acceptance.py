@@ -35,7 +35,6 @@ from cavmag.fitting import (
 from cavmag.sweep import (
     SystemTemplate,
     TemplateMagnon,
-    ThicknessModel,
     ThicknessSeries,
     anticrossing_gap,
     compute_branches,
@@ -185,9 +184,9 @@ def test_criterion_5_thickness_pipeline():
                  TemplateMagnon("yig", 0.001, 0.001, YIG)),
         couplings={("py", "cpw"): 0.2, ("cpw", "yig"): 0.21},
     )
-    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
     thicknesses = (5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
-    series = thickness_sweep(ThicknessSeries(base, model, thicknesses, 0.5, 0.1, "yig", "py"))
+    series = thickness_sweep(ThicknessSeries(base, 0.002, 0.1, 5.0, 100.0, thicknesses,
+                                             0.5, 0.1, "yig", "py"))
     fields = np.concatenate([np.linspace(700.0, 1300.0, 41),
                              np.linspace(5450.0, 6310.0, 41)])
     freqs = np.linspace(27.2, 31.2, 2001)

@@ -3,7 +3,8 @@
 perfbench/workloads.py imports library names (the sum oracle,
 instantiate) and perfbench/spans.py wraps named layer functions.  A
 rename or move of any of them must fail here, not only in a benchmark
-run.
+run.  The map check calls load_config(...).template(), instantiate and
+s21_sum_oracle only after a timed job, so those calls are made here too.
 """
 
 import importlib.util
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import cavmag.cli
 import cavmag.sweep
+from cavmag.sweep import compute_map
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name):
@@ -45,3 +48,18 @@ def test_tracer_wraps_every_layer_and_restores():
         tracer.restore()
     assert (cavmag.cli.compute_map, cavmag.sweep.compute_map,
             cavmag.sweep.instantiate) == originals
+
+
+def test_map_check_calls_agree_with_compute_map():
+    # the names and calls of Checker._check_map, on the device config
+    workloads = load("workloads")
+    config = workloads.load_config(ROOT / "configs" / "full_device.config")
+    template = config.template()
+    fields = config.field_grid.to_array()[::100]
+    freqs = config.freq_grid.to_array()[::80]
+    spectrum = compute_map(template, fields, freqs)
+    for i, h in enumerate(fields):
+        for j, w in enumerate(freqs):
+            expected = workloads.s21_sum_oracle(workloads.instantiate(template, h), w)
+            error = abs(spectrum.values[i, j] - expected) / max(abs(expected), 1e-30)
+            assert error <= workloads.Checker.ORACLE_RTOL, (h, w)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavmag import cli, fitting
+from cavmag import cli, core, fitting, sweep
 from cavmag.cli import main
 from cavmag.config import GridSpec, load_config, parse_config
 from cavmag.core import kittel_frequency
@@ -75,6 +75,25 @@ def test_kittel_freq_scale_must_be_a_finite_real_above_0(small_config, capsys, s
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == f"config error: --freq-scale must be a finite real > 0, got {float(scale)!r}\n"
+
+
+@pytest.mark.parametrize("source", ["--freq-scale", "display_scale"])
+def test_kittel_scale_that_overflows_a_frequency_exits_2_printing_nothing(tmp_path, capsys, source):
+    # was exit 0 with "py 100000 inf" and "yig 100000 inf"
+    doc = json.loads((CONFIG_DIR / "full_device.config").read_text(encoding="utf-8"))
+    argv = ["kittel", "--fields", "1e5", "--out", str(tmp_path / "kittel.csv")]
+    if source == "display_scale":
+        doc["display_scale"] = 1e308
+    else:
+        argv.append("--freq-scale=1e308")
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(argv + ["--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("config error: display scale 1e+308 overflows the frequency "
+                            "of 'py' at h=100000\n")
+    assert not (tmp_path / "kittel.csv").exists()
 
 
 @pytest.mark.parametrize("fields", [",", "1000,", ",1000", "1000,,1100", ""])
@@ -623,7 +642,7 @@ def test_thickness_without_linked_magnon_varies_only_the_named_one(tmp_path):
     t, g1, g2, gap_p1, gap_p2 = out.read_text(encoding="utf-8").splitlines()[1].split(",")
     assert (t, g1, g2, gap_p1) == ("5", "0", "0.11", "0")
     # py keeps its config coupling while yig's follows the thickness law
-    template = load_config(config).template().with_coupling("yig", "cpw", 0.11)
+    template = load_config(config).template().with_couplings({("yig", "cpw"): 0.11})
     assert gap_p2 == format_float(gap_at_crossing(template, "yig").gap)
 
 
@@ -726,3 +745,48 @@ def test_damping_overflow_exits_2_naming_the_mode(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: mode 'yig': damping overflows the coupling matrix (alpha=0.0050000000000000001, "
         "beta=1e+308)\n")
+
+
+# ── one model build per run ────────────────────────────────────────────
+
+
+def count_model_tables(monkeypatch) -> list:
+    """A list that gains an entry per core._model_table run: the one
+    validation of a model record, looked up in core (HybridSystem) and in
+    sweep (SystemTemplate)."""
+    runs, model_table = [], core._model_table
+
+    def counted(*args):
+        runs.append(args[0])
+        return model_table(*args)
+
+    monkeypatch.setattr(sweep, "_model_table", counted)
+    monkeypatch.setattr(core, "_model_table", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name", ["yig_only", "thickness"])
+def test_each_run_builds_its_model_once(tmp_path, monkeypatch, capsys, name):
+    # map, branches and synth built it twice (parse_config, then template())
+    config = str(CONFIG_DIR / f"{name}.config")
+    data = str(tmp_path / "data.csv")
+    runs = count_model_tables(monkeypatch)
+    argvs = [["kittel", "--config", config, "--fields", "1000"],
+             ["map", "--config", config, "--out", str(tmp_path / "map.csv"), "--heatmap"],
+             ["branches", "--config", config, "--out", str(tmp_path / "branches.csv")],
+             ["synth", "--config", config, "--out", data]]
+    if name == "yig_only":
+        argvs.append(["fit", "--config", config, "--data", data])
+    for argv in argvs:
+        runs.clear()
+        assert main(argv) == 0, argv
+        assert len(runs) == 1, argv
+
+
+def test_thickness_builds_one_template_per_row(tmp_path, monkeypatch, capsys):
+    # was 15: the parse's build, then two per row
+    config = CONFIG_DIR / "thickness.config"
+    rows = len(load_config(config).thickness.rows)
+    runs = count_model_tables(monkeypatch)
+    assert main(["thickness", "--config", str(config), "--out", str(tmp_path / "th.csv")]) == 0
+    assert rows == 7 and len(runs) == 1 + rows

@@ -92,6 +92,19 @@ def test_write_read_write_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_the_model_block_is_built_once_and_shared():
+    # template() rebuilt the template parse_config had built and checked
+    doc = json.loads((CONFIG_DIR / "full_device.config").read_text(encoding="utf-8"))
+    doc["thickness"] = json.loads(
+        (CONFIG_DIR / "thickness.config").read_text(encoding="utf-8"))["thickness"]
+    config = parse(doc)
+    assert config.template() is config.fit.problem.template is config.thickness.template
+    assert config.template() is config.template()
+    assert config.material_modes() == {m.label: m.material for m in config.template().magnons}
+    assert "model=" not in repr(config)
+    assert config == parse(doc)
+
+
 def test_optional_blocks_round_trip():
     doc = minimal_doc()
     doc["noise"] = {"sigma": 0.01, "seed": 42}
@@ -112,7 +125,7 @@ def test_optional_blocks_round_trip():
     assert config.noise.seed == 42
     assert config.fit.method == "map"
     assert config.fit.n_ridges == 2
-    assert config.thickness.model.slope == 0.002
+    assert config.thickness.slope == 0.002
     assert config.thickness.linked is None
     assert parse_config(dump_config(config)) == config
 

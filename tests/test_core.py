@@ -23,6 +23,7 @@ from cavmag.core import (
     stripline_vector,
 )
 from cavmag.errors import (
+    EigenFailure,
     InvalidSystem,
     NegativeField,
     NegativeFrequency,
@@ -303,6 +304,16 @@ def test_degenerate_lossless_splitting():
     values = eigenbranches(system)
     assert np.max(np.abs(values.imag)) < 1e-12
     assert np.allclose(values.real, expected, rtol=0.0, atol=1e-12)
+
+
+def test_eigenbranches_turns_a_linalg_failure_into_eigen_failure(monkeypatch):
+    def failing_eigvals(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+    with pytest.raises(EigenFailure, match=r"^eigenvalue iteration failed for matrix ") as info:
+        eigenbranches(HybridSystem((ModeSpec("cpw", 29.2, 0.01, 0.02),)))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_eigenbranches_passive():

@@ -5,6 +5,7 @@ import pytest
 
 from cavmag.dataio import (
     BRANCH_HEADER,
+    _read_plain,
     SPECTRUM_HEADER,
     THICKNESS_HEADER,
     format_float,
@@ -115,6 +116,17 @@ def test_spectrum_read_names_first_grid_gap(tmp_path):
     h_text, w_text = removed.split(",")[:2]
     assert f"h_oe={h_text}" in str(err.value)
     assert f"omega={w_text}" in str(err.value)
+
+
+def test_spectrum_read_refuses_a_short_last_field_block(tmp_path):
+    # the plain-row reader refuses the file; the checking reader names the gap
+    path = tmp_path / "map.csv"
+    rows = ["1000,27,0,0", "1000,28,0,0", "1100,27,0,0"]
+    path.write_text(SPECTRUM_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert _read_plain(path) is None
+    with pytest.raises(DataFormatError) as err:
+        read_spectrum_csv(path)
+    assert str(err.value) == "line 4: incomplete grid: missing row for h_oe=1100, omega=28"
 
 
 # ── Branch CSV ─────────────────────────────────────────────────────────

@@ -74,7 +74,7 @@ def with_parameter(template, name, value):
     through the model's own constructors: the reference for a fit's arrays."""
     kind, labels = split_parameter_name(name)
     if kind == "g":
-        return template.with_coupling(*labels, value)
+        return template.with_couplings({tuple(labels): value})
     if labels[0] == template.resonator.label:
         return replace(template, resonator=replace(template.resonator, **{kind: value}))
     magnons = []

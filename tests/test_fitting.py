@@ -150,6 +150,13 @@ def test_fit_problem_rejects_duplicates_and_bad_initials():
         FitProblem(template, (FreeParameter("omega:yig", 20.0, 30.0, 29.0),))
 
 
+def test_fit_problem_stores_a_free_list_as_a_tuple():
+    free = [FreeParameter("g:cpw:yig", 0.05, 0.6, 0.2), FreeParameter("alpha:yig", 0.0, 0.1, 0.005)]
+    problem = FitProblem(one_magnon_template(), free)
+    assert problem.free == tuple(free) and type(problem.free) is tuple
+    assert problem == FitProblem(one_magnon_template(), tuple(free))
+
+
 def test_coupling_aliases_resolve_alike_and_are_rejected_together():
     template = one_magnon_template()  # mode order: yig, cpw
     assert resolve_parameter(template, "g:cpw:yig") == resolve_parameter(template, "g:yig:cpw") \

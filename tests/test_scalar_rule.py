@@ -25,7 +25,6 @@ from cavmag.sweep import (
     SpectrumMap,
     SystemTemplate,
     TemplateMagnon,
-    ThicknessModel,
     ThicknessSeries,
     compute_branches,
     compute_map,
@@ -38,10 +37,9 @@ TEMPLATE = SystemTemplate(CPW, (TemplateMagnon("yig", 0.005, 0.004, YIG),), {("c
 SPECTRUM = SpectrumMap(np.array([1.0]), np.array([1.0, 2.0, 3.0]), np.zeros((1, 3), complex))
 
 
-def series(thickness=10, slope=1, intercept=0):
+def series(thickness=10, slope=1, intercept=0, law=(0.002, 0.1, 5.0, 100.0)):
     """A one-thickness series of TEMPLATE, its numbers as given."""
-    return ThicknessSeries(TEMPLATE, ThicknessModel(0.002, 0.1, 5.0, 100.0), (thickness,), slope,
-                           intercept, "yig")
+    return ThicknessSeries(TEMPLATE, *law, (thickness,), slope, intercept, "yig")
 
 
 # each builds one record or calls one entry point with v in a single scalar slot
@@ -53,10 +51,10 @@ ENTRY_POINTS = {
     "KittelMaterial.four_pi_m": lambda v: KittelMaterial(1.76e-2, v),
     "TemplateMagnon.alpha": lambda v: TemplateMagnon("yig", v, 0.004, YIG),
     "TemplateMagnon.beta": lambda v: TemplateMagnon("yig", 0.005, v, YIG),
-    "ThicknessModel.slope": lambda v: ThicknessModel(v, 0.1, 5.0, 100.0),
-    "ThicknessModel.intercept": lambda v: ThicknessModel(0.002, v, 5.0, 100.0),
-    "ThicknessModel.t_min": lambda v: ThicknessModel(0.002, 0.1, v, 100.0),
-    "ThicknessModel.t_max": lambda v: ThicknessModel(0.002, 0.1, 5.0, v),
+    "ThicknessSeries.slope": lambda v: series(law=(v, 0.1, 5.0, 100.0)),
+    "ThicknessSeries.intercept": lambda v: series(law=(0.002, v, 5.0, 100.0)),
+    "ThicknessSeries.t_min": lambda v: series(law=(0.002, 0.1, v, 100.0)),
+    "ThicknessSeries.t_max": lambda v: series(law=(0.002, 0.1, 5.0, v)),
     "ThicknessSeries.thicknesses": lambda v: series(thickness=v),
     "ThicknessSeries.crosslink_slope": lambda v: series(slope=v),
     "ThicknessSeries.crosslink_intercept": lambda v: series(intercept=v),
@@ -118,7 +116,7 @@ def test_records_store_int_fields_as_floats():
         (ModeSpec("a", 1, 0, 0), ("omega", "alpha", "beta")),
         (KittelMaterial(1, 1750), ("gamma", "four_pi_m")),
         (TemplateMagnon("yig", 0, 1, YIG), ("alpha", "beta")),
-        (ThicknessModel(0, 1, 5, 100), ("slope", "intercept", "t_min", "t_max")),
+        (series(law=(0, 1, 5, 100)), ("slope", "intercept", "t_min", "t_max")),
         (series(), ("crosslink_slope", "crosslink_intercept")),
         (FreeParameter("g:cpw:yig", 0, 1, 1), ("lower", "upper", "initial")),
         (NoiseSpec(0, 3), ("sigma",)),

@@ -39,7 +39,6 @@ from cavmag.sweep import (
     SpectrumMap,
     SystemTemplate,
     TemplateMagnon,
-    ThicknessModel,
     ThicknessSeries,
     anticrossing_gap,
     compute_branches,
@@ -131,13 +130,30 @@ def test_template_lookup_and_update():
     assert template.mode_order() == ["py", "cpw", "yig"]
     assert template.coupling("cpw", "py") == 0.2
     assert template.coupling("yig", "cpw") == 0.21
-    updated = template.with_coupling("cpw", "yig", 0.3)
+    updated = template.with_couplings({("cpw", "yig"): 0.3})
     assert updated.coupling("yig", "cpw") == 0.3
     assert template.coupling("yig", "cpw") == 0.21  # original untouched
     with pytest.raises(InvalidSystem, match="no magnon"):
         template.magnon("cpw")
     assert updated.arrays["g"][1, 2] == updated.arrays["g"][2, 1] == 0.3
     assert template.arrays["g"][1, 2] == 0.21
+
+
+def test_template_stores_a_magnon_list_as_a_tuple():
+    template = two_magnon_template()
+    listed = SystemTemplate(template.resonator, list(template.magnons), template.couplings)
+    assert listed.magnons == template.magnons and type(listed.magnons) is tuple
+    assert listed == template
+
+
+def test_with_couplings_sets_every_pair_in_one_template():
+    template = two_magnon_template()
+    updated = template.with_couplings({("cpw", "py"): 0.3, ("yig", "cpw"): 0.4})
+    assert (updated.coupling("py", "cpw"), updated.coupling("cpw", "yig")) == (0.3, 0.4)
+    assert updated.arrays["g"][0, 1] == 0.3 and updated.arrays["g"][1, 2] == 0.4
+    assert template.with_couplings({}) == template
+    with pytest.raises(InvalidSystem, match="resonator-mediated"):
+        template.with_couplings({("cpw", "py"): 0.3, ("py", "yig"): 0.1})
 
 
 def test_template_arrays_are_read_only():
@@ -559,21 +575,21 @@ def test_gap_at_crossing_recovers_both_couplings():
 # ── Thickness series ───────────────────────────────────────────────────
 
 
+LAW = (0.002, 0.1, 5.0, 100.0)  # slope, intercept, t_min, t_max
+
+
 def test_thickness_model_validation():
-    model = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
-    assert model.evaluate(10.0) == 0.002 * 10.0 + 0.1
+    series = ThicknessSeries(two_magnon_template(), *LAW, (10.0,), 0.5, 0.1, "yig")
+    assert series.rows[0][1] == 0.002 * 10.0 + 0.1
     with pytest.raises(InvalidSystem, match="empty"):
-        ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=5.0)
+        ThicknessSeries(two_magnon_template(), 0.002, 0.1, 5.0, 5.0, (5.0,), 0.5, 0.1, "yig")
     with pytest.raises(NegativeCoupling):
-        ThicknessModel(slope=-0.01, intercept=0.1, t_min=5.0, t_max=100.0)
-
-
-LAW = ThicknessModel(slope=0.002, intercept=0.1, t_min=5.0, t_max=100.0)
+        ThicknessSeries(two_magnon_template(), -0.01, 0.1, 5.0, 100.0, (5.0,), 0.5, 0.1, "yig")
 
 
 def test_thickness_sweep_applies_both_laws():
     base = two_magnon_template()
-    series = ThicknessSeries(base, LAW, (5.0, 40.0, 100.0), 0.5, 0.1, "yig", "py")
+    series = ThicknessSeries(base, *LAW, (5.0, 40.0, 100.0), 0.5, 0.1, "yig", "py")
     assert series.rows == tuple((t, 0.002 * t + 0.1, 0.5 * (0.002 * t + 0.1) + 0.1)
                                 for t in (5.0, 40.0, 100.0))
     templates = thickness_sweep(series)
@@ -589,7 +605,7 @@ def test_thickness_sweep_applies_both_laws():
 def test_thickness_sweep_links_only_the_named_magnon():
     # without a linked label the other magnon keeps its template coupling
     base = two_magnon_template()
-    series = ThicknessSeries(base, LAW, (5.0,), 0.5, 0.1, "yig")
+    series = ThicknessSeries(base, *LAW, (5.0,), 0.5, 0.1, "yig")
     assert series.rows == ((5.0, 0.002 * 5.0 + 0.1, None),)
     (t, template), = thickness_sweep(series)
     assert template.coupling("yig", "cpw") == 0.002 * 5.0 + 0.1
@@ -606,14 +622,17 @@ def test_thickness_sweep_links_only_the_named_magnon():
      r"^thickness value must be a finite real, got 'thick'$"),
     (LAW, (50.0,), (math.nan, 0.1), "py", InvalidSystem,
      r"^crosslink_slope must be a finite real, got nan$"),
-    (ThicknessModel(1e307, 0.1, 5.0, 100.0), (5.0, 100.0), (0.5, 0.1), "py", InvalidSystem,
+    ((1e307, 0.1, 5.0, 100.0), (5.0, 100.0), (0.5, 0.1), "py", InvalidSystem,
      r"^coupling \('cpw', 'yig'\) must be a finite real, got inf$"),
     (LAW, (100.0,), (1.7e308, 1.7e308), "py", InvalidSystem,
      r"^coupling \('cpw', 'py'\) must be a finite real, got inf$"),
+    # the law is checked before the rest of the series
+    ((0.002, 0.1, 5.0, 5.0), (50.0, "thick"), (0.5, 0.1), "nope", InvalidSystem,
+     r"^thickness range is empty: \[5.0, 5.0\]$"),
 ])
 def test_thickness_series_validation(model, thicknesses, crosslink, linked, error, text):
     with pytest.raises(error, match=text):
-        ThicknessSeries(two_magnon_template(), model, thicknesses, *crosslink, "yig", linked)
+        ThicknessSeries(two_magnon_template(), *model, thicknesses, *crosslink, "yig", linked)
 
 
 def test_thickness_sweep_single_magnon():
@@ -622,7 +641,7 @@ def test_thickness_sweep_single_magnon():
         magnons=(TemplateMagnon("yig", 0.005, 0.004, YIG),),
         couplings={("cpw", "yig"): 0.2},
     )
-    (t, template), = thickness_sweep(ThicknessSeries(base, LAW, (20.0,), 0.5, 0.1, "yig"))
+    (t, template), = thickness_sweep(ThicknessSeries(base, *LAW, (20.0,), 0.5, 0.1, "yig"))
     assert template.coupling("yig", "cpw") == 0.002 * 20.0 + 0.1
 
 
