@@ -23,6 +23,7 @@ from .dataio import (
     format_float,
     read_spectrum_csv,
     write_branches_csv,
+    write_lines,
     write_pgm,
     write_spectrum_csv,
     write_thickness_csv,
@@ -88,9 +89,10 @@ def _heatmap_path(args) -> Path | None:
 
 
 def _write_map(out, heatmap: Path | None, spectrum) -> None:
-    """The heatmap, then the spectrum CSV: truncating an existing heatmap
-    just after the CSV is closed would wait for the CSV's data to reach
-    the disk (ext4's auto_da_alloc)."""
+    """The heatmap, then the spectrum CSV.  Each is rewritten in place
+    with its first line last (dataio.write_output), so a CSV that reads
+    back marks a run that finished both files.  No flush is waited for
+    either way: nothing is truncated on open."""
     if heatmap is not None:
         write_pgm(heatmap, spectrum)
     write_spectrum_csv(out, spectrum)
@@ -127,7 +129,7 @@ def cmd_kittel(args) -> int:
     if args.out is not None:
         lines = ["label,h_oe,omega"]
         lines += [f"{label},{format_float(h)},{format_float(omega)}" for label, h, omega in rows]
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(args.out, lines)
     return 0
 
 
@@ -208,10 +210,9 @@ def cmd_fit(args) -> int:
     else:
         result = fit_branches(ridges, problem)
     lines = _report_lines(result, [p.name for p in problem.free])
-    text = "\n".join(lines) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text, end="")
+        write_lines(args.out, lines)
+    print("\n".join(lines))
     return 0 if result.converged else 4
 
 

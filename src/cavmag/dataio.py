@@ -10,11 +10,16 @@ float() of its token by a residual certificate (_certified), which holds
 for any token of up to 18 digits, not only for the writer's; all other
 files are parsed line by line (_read_spectrum_lines), with the same
 values and errors.
+
+Every output file is written by write_output, in place and with its
+first line last (see there).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -25,6 +30,39 @@ from .sweep import BranchCurves, SpectrumMap
 SPECTRUM_HEADER = "h_oe,omega,re_s21,im_s21"
 BRANCH_HEADER = "h_oe,branch_index,re_eig,im_eig"
 THICKNESS_HEADER = "t_um,g1,g2,gap_p1,gap_p2"
+_HEADER_LINE = (SPECTRUM_HEADER + "\n").encode("ascii")
+
+
+def write_output(path, first: bytes, body) -> None:
+    """Write the line first, ending in '\n', then each chunk of body, as
+    the whole content of the file at path.
+
+    The path is opened without O_TRUNC, and a regular file is rewritten in
+    place: overwriting its cached pages costs less than freeing them and
+    filling new ones.  Its first line goes in last: the body follows a
+    line of '#' as long as first, the file is cut at the end of the new
+    text, and only then does first replace the '#'s.  A write that stops
+    early, by an error or a kill, so leaves a first line that no cavmag
+    reader accepts; the file is not cut then and keeps the previous
+    file's tail after the new text.  Any other target (/dev/null, a FIFO)
+    takes first and then the body.  Nothing is fsynced, and nothing orders
+    first's write to disk after the body's.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        in_place = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+        handle.write(b"#" * (len(first) - 1) + b"\n" if in_place else first)
+        for chunk in body:
+            handle.write(chunk)
+        if in_place:
+            handle.truncate()
+            handle.seek(0)
+            handle.write(first)
+
+
+def write_lines(path, lines) -> None:
+    """Lines of text, each ended by '\n', as UTF-8 (write_output)."""
+    first, *rest = (line + "\n" for line in lines)
+    write_output(path, first.encode("utf-8"), ["".join(rest).encode("utf-8")])
 
 
 # ── Exact '%.17g' text of float64 arrays ─────────────────────────────
@@ -199,8 +237,8 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
     tails = tails.view("<u8").reshape(-1, words)
     rows = np.zeros((min(_WRITE_BLOCK, len(heads)) * n_freqs, words + 8), dtype="<u8")
     rows.reshape(-1, n_freqs, words + 8)[..., head_words:words] = tails[:, head_words:]
-    with open(path, "wb") as handle:
-        handle.write((SPECTRUM_HEADER + "\n").encode("ascii"))
+
+    def blocks():
         for start in range(0, len(heads), _WRITE_BLOCK):
             values = spectrum.values[start:start + _WRITE_BLOCK]
             block = rows[:values.size]
@@ -209,7 +247,9 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
                 np.bitwise_or(heads[start:start + _WRITE_BLOCK, k, None], tails[:, k], out=by_freq[..., k])
             _write_17g(values.real.ravel(), block[:, words:words + 4], ord(","))
             _write_17g(values.imag.ravel(), block[:, words + 4:], ord("\n"))
-            handle.write(block.tobytes().translate(None, b"\0"))
+            yield block.tobytes().translate(None, b"\0")
+
+    write_output(path, _HEADER_LINE, blocks())
 
 
 # ── Exact array reader ───────────────────────────────────────────────
@@ -232,7 +272,6 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
 # double is as near and c is float(token), 18-digit tokens included.
 # Every other token goes through float().
 
-_HEADER_LINE = (SPECTRUM_HEADER + "\n").encode("ascii")
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _READ_CHUNK = 1 << 18  # bytes per read
 _PAD = 32  # NUL bytes around each read, so that every window stays inside the buffer
@@ -641,8 +680,7 @@ def write_branches_csv(path, curves: BranchCurves) -> None:
             eig = curves.branches[i, k]
             lines.append(",".join((format_float(h), str(k),
                                    format_float(eig.real), format_float(eig.imag))))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_thickness_csv(path, rows) -> None:
@@ -650,8 +688,7 @@ def write_thickness_csv(path, rows) -> None:
     lines = [THICKNESS_HEADER]
     for t, g1, g2, gap_p1, gap_p2 in rows:
         lines.append(",".join(format_float(v) for v in (t, g1, g2, gap_p1, gap_p2)))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def render_pgm(spectrum: SpectrumMap) -> bytes:
@@ -676,5 +713,5 @@ def render_pgm(spectrum: SpectrumMap) -> bytes:
 
 
 def write_pgm(path, spectrum: SpectrumMap) -> None:
-    with open(path, "wb") as handle:
-        handle.write(render_pgm(spectrum))
+    pgm = render_pgm(spectrum)
+    write_output(path, pgm[:3], [memoryview(pgm)[3:]])  # the first line, "P5\n"

@@ -405,7 +405,9 @@ def anticrossing_gap(curves: BranchCurves, window: tuple[float, float]) -> Antic
 
     Scans the separations of adjacent sorted branch real parts, locates
     the interior minimum and refines both its field and its value by
-    parabolic interpolation through the three bracketing points.
+    parabolic interpolation through the three bracketing points.  A real
+    part that is not finite inside the window raises InvalidSystem naming
+    its field.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -422,6 +424,10 @@ def anticrossing_gap(curves: BranchCurves, window: tuple[float, float]) -> Antic
     branches = curves.branches[mask]
     if branches.shape[1] < 2:
         raise InvalidSystem("gap scan needs at least two branches")
+    finite = np.isfinite(branches.real).all(axis=1)
+    if not finite.all():
+        h = format_float(fields[np.argmin(finite)])
+        raise InvalidSystem(f"branch real part is not finite at h={h}")
     separation = np.min(np.diff(branches.real, axis=1), axis=1)
     k = int(np.argmin(separation))
     if k == 0 or k == separation.size - 1:

@@ -1,20 +1,25 @@
 """Command-line interface, exercised in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavmag import cli, core, fitting, sweep
+from cavmag import cli, core, dataio, fitting, sweep
 from cavmag.cli import main
 from cavmag.config import GridSpec, load_config, parse_config
 from cavmag.core import kittel_frequency
-from cavmag.dataio import format_float, read_spectrum_csv
+from cavmag.dataio import _WRITE_BLOCK, format_float, read_spectrum_csv
+from cavmag.errors import DataFormatError
 from cavmag.sweep import SpectrumMap, gap_at_crossing
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 YIG_MATERIAL = {"gamma": 1.76e-2, "four_pi_m": 1750.0}
 
@@ -165,7 +170,7 @@ def test_map_writes_csv_and_heatmap(tmp_path, small_config, monkeypatch):
     assert spectrum.values.shape == (21, 33)
     pgm = out.with_suffix(".pgm")
     assert pgm.read_bytes().startswith(b"P5\n21 33\n255\n")
-    # the heatmap first: truncating it right after the CSV would wait for the CSV's flush
+    # the heatmap first, so a CSV that reads back marks a run that finished both files
     assert calls == [("write_pgm", "map.pgm"), ("write_spectrum_csv", "map.csv")]
 
 
@@ -198,6 +203,85 @@ def test_branches_row_count(tmp_path, small_config):
     assert rc == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 21 * 2  # header + fields x branches
+
+
+# ── Output files ───────────────────────────────────────────────────────
+
+
+def test_an_interrupted_map_write_leaves_a_file_cavmag_refuses(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.config"
+    config.write_text(json.dumps(small_doc(
+        field_grid={"start": 800.0, "stop": 1200.0, "count": _WRITE_BLOCK + 9},
+        fit={"method": "map", "free": []})), encoding="utf-8")
+    out = tmp_path / "map.csv"
+    assert main(["map", "--config", str(config), "--out", str(out)]) == 0
+    calls = []
+    write_17g = dataio._write_17g
+
+    def full_disk(*args):  # the third call writes the real parts of block 1
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        write_17g(*args)
+
+    monkeypatch.setattr(dataio, "_write_17g", full_disk)
+    capsys.readouterr()
+    assert main(["map", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "io error: [Errno 28] No space left on device\n"
+    with pytest.raises(DataFormatError, match="line 1: expected header"):
+        read_spectrum_csv(out)
+    assert main(["fit", "--config", str(config), "--data", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("data error: line 1: expected header")
+
+
+def test_outputs_to_dev_null_exit_0(small_config, capsys):
+    for command in ("kittel", "map", "branches"):
+        assert main([command, "--config", str(small_config), "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_symlinked_out_is_written_through_to_its_target(tmp_path, small_config):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_bytes(b"an old file, longer than the map\n" * 1000)
+    link.symlink_to(target)
+    assert main(["map", "--config", str(small_config), "--out", str(link)]) == 0
+    assert main(["map", "--config", str(small_config), "--out", str(fresh)]) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+
+# Runs the CLI as a user that file modes bind.  Root writes past them, so a
+# root child first drops CAP_DAC_OVERRIDE (bit 1) from its effective set.
+WITHOUT_DAC_OVERRIDE = """
+import ctypes, os, sys
+if os.geteuid() == 0:
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.capget.argtypes = libc.capset.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    libc.capget.restype = libc.capset.restype = ctypes.c_int
+    header, data = (ctypes.c_uint32 * 2)(0x20080522, 0), (ctypes.c_uint32 * 6)()
+    if libc.capget(header, data):
+        sys.exit(99)
+    data[0] &= ~(1 << 1)
+    if libc.capset(header, data):
+        sys.exit(99)
+from cavmag.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_read_only_out_exits_3_and_is_left_as_it_was(tmp_path, small_config):
+    out = tmp_path / "map.csv"
+    out.write_bytes(b"old\n")
+    out.chmod(0o444)
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_DAC_OVERRIDE, "map", "--config", str(small_config),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=120)
+    if proc.returncode == 99:
+        pytest.skip("this process cannot drop CAP_DAC_OVERRIDE")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"io error: [Errno 13] Permission denied: {str(out)!r}\n"
+    assert out.read_bytes() == b"old\n"
 
 
 # ── synth ──────────────────────────────────────────────────────────────

@@ -1,5 +1,8 @@
 """File formats: spectrum and branch CSV, thickness CSV, PGM heatmaps."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from cavmag.dataio import (
     read_spectrum_csv,
     render_pgm,
     write_branches_csv,
+    write_output,
     write_pgm,
     write_spectrum_csv,
     write_thickness_csv,
@@ -127,6 +131,47 @@ def test_spectrum_read_refuses_a_short_last_field_block(tmp_path):
     with pytest.raises(DataFormatError) as err:
         read_spectrum_csv(path)
     assert str(err.value) == "line 4: incomplete grid: missing row for h_oe=1100, omega=28"
+
+
+# ── Writing in place ───────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("old_fields, new_fields", [(40, 3), (3, 40)], ids=["longer-old", "shorter-old"])
+def test_a_map_written_over_an_old_file_has_the_bytes_of_a_fresh_write(tmp_path, old_fields,
+                                                                       new_fields):
+    path, fresh = tmp_path / "map.csv", tmp_path / "fresh.csv"
+    write_spectrum_csv(path, random_map(n_fields=old_fields, seed=1))
+    spectrum = random_map(n_fields=new_fields, seed=2)
+    write_spectrum_csv(path, spectrum)
+    write_spectrum_csv(fresh, spectrum)
+    assert path.read_bytes() == fresh.read_bytes()  # no stale tail
+
+
+def test_output_stops_early_with_a_first_line_of_hashes(tmp_path):
+    path = tmp_path / "map.csv"
+    write_spectrum_csv(path, random_map())
+
+    def body():
+        yield b"1,2,3,4\n"
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_output(path, b"h_oe,omega,re_s21,im_s21\n", body())
+    assert path.read_bytes().startswith(b"#" * len(SPECTRUM_HEADER) + b"\n1,2,3,4\n")
+
+
+def test_a_fifo_gets_the_first_line_then_the_body(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    spectrum = random_map(n_fields=40)
+    write_spectrum_csv(fifo, spectrum)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    write_spectrum_csv(tmp_path / "map.csv", spectrum)
+    assert got == [(tmp_path / "map.csv").read_bytes()]
 
 
 # ── Branch CSV ─────────────────────────────────────────────────────────

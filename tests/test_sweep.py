@@ -35,6 +35,7 @@ from cavmag.fitting import FitProblem, FreeParameter, fit_map
 from cavmag.sweep import (
     _BLOCK_POINTS,
     _stack,
+    AnticrossingReport,
     BranchCurves,
     SpectrumMap,
     SystemTemplate,
@@ -541,6 +542,24 @@ def test_gap_needs_two_branches():
     curves = compute_branches(template, np.linspace(900.0, 1100.0, 11))
     with pytest.raises(InvalidSystem, match="two branches"):
         anticrossing_gap(curves, (900.0, 1100.0))
+
+
+@pytest.mark.parametrize("at, value", [(5, np.nan), (8, np.inf), (2, -np.inf)])
+def test_gap_refuses_a_real_part_that_is_not_finite(at, value):
+    fields = np.arange(11.0)
+    branches = np.stack([np.zeros(11), np.abs(fields - 5.0) + 1.0], axis=1).astype(complex)
+    branches[at, 1] = value
+    with pytest.raises(InvalidSystem, match=f"branch real part is not finite at h={at}$"):
+        anticrossing_gap(BranchCurves(fields, branches), (0.0, 10.0))
+
+
+def test_gap_falls_back_to_the_grid_point_when_the_curvature_underflows():
+    fields = np.array([0.0, 2.0, 4.0, 6.0, 8.0])
+    separation = np.array([1.0, 5e-324, 0.0, 0.0, 1.0])
+    assert sweep._parabola_vertex(fields[1:4], separation[1:4]) is None
+    curves = BranchCurves(fields, np.stack([np.zeros(5), separation], axis=1))
+    assert anticrossing_gap(curves, (0.0, 8.0)) == AnticrossingReport(h_star=4.0, gap=0.0,
+                                                                       g_estimate=0.0)
 
 
 def test_crossing_fields():
