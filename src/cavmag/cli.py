@@ -161,8 +161,6 @@ def _resolve_fit_problem(config: RunConfig, data) -> tuple[FitProblem, RidgeSet 
     magnon's crossing, every other parameter from the template's value,
     each clipped into its box.
     """
-    if config.fit is None:
-        raise ConfigError("config has no 'fit' block")
     fit_cfg, problem = config.fit, config.fit.problem
     ridges = None
     if fit_cfg.method == "branches" or any(
@@ -203,6 +201,8 @@ def _report_lines(result: FitResult, order: list[str]) -> list[str]:
 
 def cmd_fit(args) -> int:
     config = load_config(args.config)
+    if config.fit is None:
+        raise ConfigError("config has no 'fit' block")
     data = read_spectrum_csv(args.data)
     problem, ridges = _resolve_fit_problem(config, data)
     if config.fit.method == "map":

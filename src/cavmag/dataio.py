@@ -6,10 +6,10 @@ only.  The spectrum writer spells the exact '%.17g' text of each s21
 value with array arithmetic as the four 64-bit words of a 32-byte slot
 (_write_17g).  The spectrum reader parses plain files with array
 arithmetic (_read_plain): each s21 value it keeps is proven equal to
-float() of its token by a residual certificate (_certified), which holds
-for any token of up to 18 digits, not only for the writer's; all other
-files are parsed line by line (_read_spectrum_lines), with the same
-values and errors.
+float() of its token by the residual that corrects it (_certified),
+which holds for any token of up to 18 digits, not only for the writer's;
+all other files are parsed line by line (_read_spectrum_lines), with the
+same values and errors.
 
 Every output file is written by write_output, in place and with its
 first line last (see there).
@@ -265,12 +265,11 @@ def write_spectrum_csv(path, spectrum: SpectrumMap) -> None:
 # token [sign] digits [. digits] [e sign digit digit] with at most 7
 # integer and 24 fraction digits is read with 8-byte SWAR arithmetic
 # (Lemire, arXiv:2101.11408) into its integer significand M < 10^18, so
-# that its value is M·10^q.  Where -22 <= q <= 0, a double-double
-# quotient by the exact 10^-q gives a candidate double c, kept only where
-# Clinger's residual test certifies it (_certified): M - c·10^-q, exact
-# to within M·2^-100, is smaller than half the gap below c, so no other
-# double is as near and c is float(token), 18-digit tokens included.
-# Every other token goes through float().
+# that its value is M·10^q.  Where -22 <= q <= 0, one residual per token
+# corrects the quotient f = M/10^-q to a candidate double c and certifies
+# c by Clinger's test (_certified): M/10^-q - c is smaller than half the
+# gap below c, so no other double is as near and c is float(token),
+# 18-digit tokens included.  Every other token goes through float().
 
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
 _READ_CHUNK = 1 << 18  # bytes per read
@@ -405,45 +404,43 @@ def _significands(buf, start, end):
     return neg, np.where(ok, m, 0), clipped, ok
 
 
-def _quotients(m, exponent) -> np.ndarray:
-    """m·10^exponent to within an ulp: a double-double quotient by the
-    exact power of ten; m < 10^18, -22 <= exponent <= 0.
-    """
+def _quotients(m, exponent):
+    """(f, k, c) of m/P, P = 10^-exponent exact, m < 10^18 and -22 <= exponent
+    <= 0: f = m/P and k = (m - f·P)/P in doubles, the candidate c = f + k."""
     scale = -exponent
     hi = m.astype(np.float64)
     lo = (m - hi.astype(np.int64)).astype(np.float64)  # m = hi + lo exactly
     power10 = _POW10[scale]
-    value = hi / power10
-    p_hi, p_lo = _scaled(value, scale)
-    return value + (((hi - p_hi) - p_lo) + lo) / power10
+    f = hi / power10
+    p_hi, p_lo = _scaled(f, scale)
+    k = (((hi - p_hi) - p_lo) + lo) / power10
+    return f, k, f + k
 
 
-def _certified(m, exponent, c) -> np.ndarray:
-    """Where c is float(m·10^exponent), proven: Clinger's residual test.
+def _certified(f, k, c) -> np.ndarray:
+    """Where c >= 0, within a few ulps of f, is float(x), x = m/P, proven
+    from f, k of _quotients: Clinger's residual test.
 
-    Needs m < 10^18, -22 <= exponent <= 0 and c >= 0.  The residual
-    m - c·10^-exponent is exact to within m·2^-100 (Dekker's product is
-    exact and the sum is nearly so); c is kept where it is at most half
-    the gap between c and the double before it, times 10^-exponent, less
-    a 2^-40 share.  That gap is never wider than the one above c, so the
-    value lies strictly nearer to c than to any other double, ties
-    excluded, and float() rounds it to c.  c = 0 has a gap of 0: it is
+    f = fl(fl(m)/P) lies within 2^-52·x of x, and m - f·P is exact to
+    within m·2^-100 (Dekker's product is exact, the sum nearly so), so k
+    is x - f to within 2^-99·x.  f - c is exact (Sterbenz), and adding k
+    rounds by at most 2^-53 of the sum, not at all for c = f + k
+    (Fast2Sum).  Near gap(c)/2, gap(c) being c less the double below it,
+    the sum is so x - c to within 2^-45·gap(c), inside the 2^-40 share of
+    the bound gap(c)·(1/2 - 2^-40) that keeps c.  The gap below c is never
+    wider than the one above, so a kept c is strictly nearest to x, ties
+    excluded, and float() rounds x to it.  c = 0 has a gap of 0: it is
     kept for m = 0 alone.
     """
-    scale = -exponent
-    hi = m.astype(np.float64)
-    lo = (m - hi.astype(np.int64)).astype(np.float64)  # m = hi + lo exactly
-    p_hi, p_lo = _scaled(c, scale)
-    residual = ((hi - p_hi) - p_lo) + lo
     gap = c - (np.maximum(c.view(np.int64), 1) - 1).view(np.float64)  # c less the double before it
-    return np.abs(residual) <= gap * _POW10[scale] * _HALF_GAP
+    return np.abs((f - c) + k) <= gap * _HALF_GAP
 
 
 def _decimals(buf, start, end) -> np.ndarray:
     """float() of each s21 token, exact: SWAR where certified, float() elsewhere."""
     neg, m, exponent, ok = _significands(buf, start, end)
-    value = _quotients(m, exponent)
-    ok &= _certified(m, exponent, value)
+    f, k, value = _quotients(m, exponent)
+    ok &= _certified(f, k, value)
     value = np.where(neg, -value, value)
     slow = np.flatnonzero(~ok)
     if slow.size:

@@ -644,6 +644,18 @@ def test_fit_without_fit_block_exits_2(tmp_path, small_config, capsys):
     assert "fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", ["missing", "malformed"])
+def test_fit_without_fit_block_exits_2_before_the_data_is_read(tmp_path, small_config, capsys, data):
+    # the missing block is refused first, as thickness refuses its own:
+    # a missing file would exit 3 and a malformed one 5 if it were read
+    path = tmp_path / "data.csv"
+    if data == "malformed":
+        path.write_text("not a spectrum\n", encoding="utf-8")
+    rc = main(["fit", "--config", str(small_config), "--data", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: config has no 'fit' block\n"
+
+
 # ── thickness ──────────────────────────────────────────────────────────
 
 

@@ -285,15 +285,23 @@ def test_benchmark_inputs_take_the_array_route(tmp_path):
         assert outcome(lambda _: spectrum, path) == outcome(_read_spectrum_lines, path)
 
 
+def moved_candidates(monkeypatch, off) -> list[int]:
+    """Make _quotients return each nonzero candidate one ulp towards off,
+    its f and k untouched; the list returned counts the calls."""
+    def quotients(m, exponent):
+        calls.append(m.size)
+        f, k, c = exact(m, exponent)
+        return f, k, np.where(m == 0, c, np.nextafter(c, off))
+
+    calls, exact = [], dataio._quotients
+    monkeypatch.setattr(dataio, "_quotients", quotients)
+    return calls
+
+
 def test_a_candidate_one_ulp_off_is_never_kept(tmp_path, monkeypatch):
     # the residual certificate, not the accuracy of the quotient, makes
     # values exact; a zero significand is an exact zero either way
-    def quotients(m, exponent):
-        value = exact(m, exponent)
-        return np.where(m == 0, value, np.nextafter(value, np.inf))
-
-    exact = dataio._quotients
-    monkeypatch.setattr(dataio, "_quotients", quotients)
+    calls = moved_candidates(monkeypatch, np.inf)
     rng = np.random.default_rng(13)
     path = tmp_path / "map.csv"
     text = written(path, random_map(rng, 4, 6))
@@ -301,15 +309,16 @@ def test_a_candidate_one_ulp_off_is_never_kept(tmp_path, monkeypatch):
         path.write_text(body, encoding="ascii")
         assert _read_plain(path) is not None
         assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+    assert calls == [2 * 24] * 4  # two reads of each file, each moving both parts of every row
 
 
-def midpoint_tokens(rng, count) -> list[str]:
+def midpoint_tokens(rng, values) -> list[str]:
     """s21 tokens of 17 and 18 digits on either side of the midpoint
-    between a random double in [1e-5, 1) and the next double up, each in
-    fixed and in scientific notation, with a random sign: the tokens
-    whose correct rounding is hardest to certify."""
+    between each double v of values in [1e-5, 1) and the next double up,
+    each in fixed and in scientific notation, with a random sign: the
+    tokens whose correct rounding is hardest to certify."""
     tokens = []
-    for v in (10.0 ** rng.uniform(-5.0, 0.0, count)).tolist():
+    for v in values.tolist():
         mid = (Fraction(v) + Fraction(np.nextafter(v, 2.0).item())) / 2
         e = math.floor(math.log10(mid))
         e += (Fraction(10) ** (e + 1) <= mid) - (Fraction(10) ** e > mid)  # 10^e <= mid < 10^(e+1)
@@ -325,32 +334,49 @@ def midpoint_tokens(rng, count) -> list[str]:
     return tokens
 
 
-@pytest.mark.parametrize("off", [None, math.inf, -math.inf], ids=["exact", "ulp_up", "ulp_down"])
-def test_tokens_nearest_a_midpoint_read_as_float_reads_them(tmp_path, monkeypatch, off):
-    # a candidate one ulp off lies just over half a gap from such a token:
-    # the residual certificate must send every one to float(), and keep
-    # every exact candidate, whose token lies just under half a gap away
-    exact = dataio._quotients
-    if off is not None:
-        monkeypatch.setattr(dataio, "_quotients", lambda m, exponent: np.where(
-            m == 0, exact(m, exponent), np.nextafter(exact(m, exponent), off)))
+def read_midpoint_tokens(path, monkeypatch, rng, tokens, n_fields, off) -> None:
+    """Read a map whose s21 tokens are tokens, with each candidate moved
+    one ulp towards off unless off is None: every exact candidate must be
+    kept, and every moved one sent to float()."""
+    calls = [] if off is None else moved_candidates(monkeypatch, off)
     floats = dataio._floats
     converted = []
     monkeypatch.setattr(dataio, "_floats", lambda buf, start, end: converted.append(start.size)
                         or floats(buf, start, end))
-    rng = np.random.default_rng(14)
-    tokens = midpoint_tokens(rng, 300)
-    assert len(tokens) == 2400
-    n_fields, n_freqs = 10, len(tokens) // 20  # two tokens a row
-    path = tmp_path / "map.csv"
+    n_freqs = len(tokens) // (2 * n_fields)  # two tokens a row
     header, *lines = written(path, random_map(rng, n_fields, n_freqs)).split("\n")[:-1]
     pairs = iter(tokens)
     lines = [",".join(line.split(",")[:2] + [next(pairs), next(pairs)]) for line in lines]
     path.write_text("".join(line + "\n" for line in [header, *lines]), encoding="ascii")
     assert _read_plain(path) is not None
+    assert sum(calls) == (0 if off is None else len(tokens))
     # float() read each field's first h_oe and the first field's omega texts
     assert sum(converted) - n_fields - n_freqs == (0 if off is None else len(tokens))
     assert outcome(read_spectrum_csv, path) == outcome(_read_spectrum_lines, path)
+
+
+@pytest.mark.parametrize("off", [None, math.inf, -math.inf], ids=["exact", "ulp_up", "ulp_down"])
+def test_tokens_nearest_a_midpoint_read_as_float_reads_them(tmp_path, monkeypatch, off):
+    # a candidate one ulp off lies just over half a gap from such a token:
+    # the residual certificate must send every one to float(), and keep
+    # every exact candidate, whose token lies just under half a gap away
+    rng = np.random.default_rng(14)
+    tokens = midpoint_tokens(rng, 10.0 ** rng.uniform(-5.0, 0.0, 300))
+    assert len(tokens) == 2400
+    read_midpoint_tokens(tmp_path / "map.csv", monkeypatch, rng, tokens, 10, off)
+
+
+@pytest.mark.parametrize("off", [None, math.inf, -math.inf], ids=["exact", "ulp_up", "ulp_down"])
+def test_tokens_nearest_a_midpoint_at_a_binade_edge_read_as_float_reads_them(tmp_path, monkeypatch,
+                                                                             off):
+    # v is the double just below 2^j, so the gap below the double after v
+    # is half the gap above it: a certificate that measured the gap above
+    # a candidate 2^j would keep it for tokens that float() reads as v
+    rng = np.random.default_rng(15)
+    values = np.nextafter(2.0 ** np.arange(-16, 1), 0.0)  # 2^-16 > 1e-5
+    tokens = midpoint_tokens(rng, values)
+    assert len(tokens) == 8 * values.size
+    read_midpoint_tokens(tmp_path / "map.csv", monkeypatch, rng, tokens, 2, off)
 
 
 @pytest.mark.parametrize("rows, line, error", [

@@ -6,7 +6,9 @@ a temporary directory of its own, so relative output paths land there
 and each side overwrites its own outputs as a benchmark loop does.  After
 one untimed warm-up job per side, the two sides take turns for
 ``--rounds`` rounds, the first side of each round alternating.  It prints
-each side's median job time and the rounds the second side won.
+each side's median job time with its first and third quartiles, and the
+rounds the second side won: a median shift smaller than the quartile
+spread is not resolved.
 ``{root}`` in the job stands for each side's checkout.
 
     python3 tools/abjobs.py --rounds 20 ../parent . -- \\
@@ -72,7 +74,9 @@ def main(argv=None) -> int:
                 child.stdin.close()
                 child.wait()
     for name in times:
-        print(f"{name} {getattr(args, name)}: median {statistics.median(times[name]):.6f} s")
+        median = statistics.median(times[name])
+        q1, _, q3 = statistics.quantiles(times[name], n=4) if args.rounds > 1 else [median] * 3
+        print(f"{name} {getattr(args, name)}: median {median:.6f} s, quartiles {q1:.6f} {q3:.6f} s")
     wins = sum(b < a for a, b in zip(times["a"], times["b"]))
     print(f"b won {wins}/{args.rounds} rounds")
     return 0
